@@ -71,8 +71,12 @@ def _default_mod():
 
 def cmd_ber(args) -> int:
     _resolve_seed(args)
+    if not args.step_db > 0:
+        raise ValueError("--step-db must be positive")
     mod = _default_mod()
     points = tuple(float(x) for x in np.arange(args.start_db, args.stop_db + 1e-9, args.step_db))
+    if not points:
+        raise ValueError("--stop-db is below --start-db")
     spec = montecarlo.PhyExperimentSpec(
         mod=mod,
         packet_bits=128,
@@ -118,7 +122,7 @@ def cmd_per(args) -> int:
                     beat_ratio=br,
                     same_data=not args.different_data,
                     replicas=args.replicas,
-                    seed=args.seed + grid_index,
+                    seed=int(np.random.SeedSequence([args.seed, grid_index]).generate_state(1)[0]),
                 )
                 est = montecarlo.run_per_point(spec, args.ebn0_db)
                 failures = round(est.point * est.n_trials)

@@ -1,16 +1,32 @@
 """Monte Carlo BER/PER experiments for one or two concurrent transmitters.
 
-The kernel is vectorized over packets: per chunk it synthesizes every
-packet of both transmitters from precomputed tone arrays, adds calibrated
-noise, and runs the two-branch detector. Replica randomness is keyed by
-(seed, grid index, chunk index) so chunks can be computed in any order,
-or in parallel, with identical pooled results.
+The kernel works in the symbol domain. The two-branch non-coherent
+detector only sees the correlator outputs of each symbol window, so the
+kernel computes those directly instead of synthesizing the waveform of
+`phy.modulate` and `phy.superpose` sample by sample:
+
+- A transmitter's contribution to a branch is its phase times a geometric
+  sum over the window's samples and a per-symbol rotation. Both depend only
+  on the bit, the symbol index and the branch, so one small table per
+  transmitter, built once per spec, holds them. A delayed transmitter 2
+  reaches into a window with the tail of one bit and the head of the next;
+  its table is indexed by that pair of bits.
+- Noise is drawn in the branch domain as complex Gaussian pairs with the
+  covariance the per-sample noise has after correlation: 2*sigma^2*K with
+  K[a, b] = sum_s exp(j(w_b - w_a) s). This holds for any modulation
+  index; at h = 1 the tones are orthogonal and K = sps * I.
+
+`phy` and `rx` remain the sample-domain reference the kernel is tested
+against. Replica randomness is keyed by (seed, grid index, chunk index) so
+chunks can be computed in any order, or in parallel, with identical pooled
+results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import NormalDist
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,8 +66,18 @@ class PhyExperimentSpec:
             raise ValueError("need at least 100 replicas per estimate")
         if self.power_delta is not None and self.power_delta < 0:
             raise ValueError("power_delta is defined as a non-negative dB value")
+        for value in (self.power_delta, self.time_delta, self.beat_ratio):
+            if value is not None and not math.isfinite(value):
+                raise ValueError("power_delta, time_delta and beat_ratio must be finite")
         if self.beat_ratio < 0 or self.time_delta < 0:
             raise ValueError("beat_ratio and time_delta must be non-negative")
+        sps = self.mod.samples_per_symbol
+        if round(self.time_delta * sps) > self.packet_bits * sps:
+            raise ValueError("time_delta exceeds one packet duration")
+
+    @cached_property
+    def _tables(self) -> _BranchTables:
+        return _BranchTables(self)
 
 
 @dataclass(frozen=True)
@@ -91,58 +117,106 @@ def _estimate(k: int, n: int, confidence: float) -> EstimateWithCI:
     return EstimateWithCI(min(max(p, lo), hi), lo, hi, n)
 
 
+class _BranchTables:
+    """Per-symbol correlator terms of one spec, built once per spec object.
+
+    tx1[m, b, beta] is transmitter 1's contribution to branch beta of
+    symbol window m when it sends bit b there. Transmitter 2 is delayed by
+    q*sps + o samples, so window m >= q holds the last o samples of its bit
+    m-q-1 and the first sps-o samples of its bit m-q; tx2[m-q, 2*b_prev +
+    b, beta] is the sum of both pieces. chol is the lower Cholesky factor
+    of the branch noise covariance over 2*sigma^2.
+    """
+
+    def __init__(self, spec: PhyExperimentSpec):
+        mod = spec.mod
+        sps = mod.samples_per_symbol
+        L = spec.packet_bits
+        step = 2.0 * np.pi * mod.freq_deviation / mod.sample_rate
+        tone = np.array([-step, step])  # index 0: bit-0 tone / branch, 1: bit-1
+
+        def window_sum(nu, lo, hi):
+            # sum over s in [lo, hi) of exp(j(tone_b + nu - tone_beta) s), shape (b, beta)
+            x = tone[:, None] + nu - tone[None, :]
+            return np.exp(1j * x[..., None] * np.arange(lo, hi)).sum(axis=-1)
+
+        def rotation(nu, first):
+            # exp(j(tone_b + nu) k) at k = first + i*sps, shape (i, b, 1)
+            k = first + sps * np.arange(L)
+            return np.exp(1j * np.outer(k, tone + nu))[:, :, None]
+
+        if spec.power_delta is None:
+            self.tx1 = rotation(0.0, 0) * window_sum(0.0, 0, sps)
+            self.tx2 = None
+        else:
+            # CFO of +-f_beat/2 as a per-sample phase step
+            nu = np.pi * spec.beat_ratio / (L * sps)
+            a1 = 10.0 ** (spec.power_delta / 20.0)
+            self.tx1 = a1 * rotation(nu, 0) * window_sum(nu, 0, sps)
+            q, o = divmod(int(round(spec.time_delta * sps)), sps)
+            n_win = L - q
+            # both pieces in window q + i start at transmitter-2 sample i*sps - o
+            rot = rotation(-nu, -o)
+            head = rot * window_sum(-nu, o, sps)  # bit i
+            tail = rot * window_sum(-nu, 0, o)  # bit i - 1
+            tail[0] = 0.0
+            tx2 = head[:n_win, None, :, :] + tail[:n_win, :, None, :]
+            self.q = q
+            self.tx2 = tx2.reshape(n_win, 4, 2)
+        # K[a, b] = sum_s exp(j(tone_b - tone_a) s); K[0, 0] = K[1, 1] = sps
+        k10 = np.exp(-2j * step * np.arange(sps)).sum()
+        c00 = math.sqrt(sps)
+        c10 = k10 / c00
+        self.chol = (c00, c10, math.sqrt(max(0.0, sps - abs(c10) ** 2)))
+
+
+def _correlate(
+    tables: _BranchTables,
+    bits1: np.ndarray,
+    bits2: Optional[np.ndarray],
+    rel_phase: Optional[np.ndarray],
+) -> np.ndarray:
+    """Noiseless correlator outputs, shape (packets, L, 2), branch 1 = bit 1.
+
+    Transmitter 1 is taken at phase 0 and transmitter 2 at rel_phase (per
+    packet) relative to it: branch energies depend on nothing else, and
+    the noise is circular.
+    """
+    L = bits1.shape[1]
+    index = 2 * np.arange(L) + bits1
+    out = np.take(tables.tx1.reshape(2 * L, 2), index, axis=0)
+    if tables.tx2 is not None and len(tables.tx2):
+        n_win = len(tables.tx2)
+        code = bits2[:, :n_win].astype(np.intp)
+        code[:, 1:] += 2 * bits2[:, : n_win - 1]
+        code += 4 * np.arange(n_win)
+        piece = np.take(tables.tx2.reshape(4 * n_win, 2), code, axis=0)
+        piece *= rel_phase[:, None, None]
+        out[:, tables.q:] += piece
+    return out
+
+
 def _simulate_chunk(
     spec: PhyExperimentSpec, ebn0_db: float, n_packets: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Bit-error count per packet for one chunk of replicas."""
-    mod = spec.mod
-    sps = mod.samples_per_symbol
+    var = noise_variance_per_dim(ebn0_db, spec.mod, ref_amplitude=1.0)
     L = spec.packet_bits
-    n = L * sps
-    fs = mod.sample_rate
-    tau = np.arange(n) / fs
-    e_plus = np.exp(1j * 2 * np.pi * mod.freq_deviation * tau)
-    e_minus = e_plus.conj()
-
-    two_tx = spec.power_delta is not None
-    if two_tx:
-        t_packet = L * mod.symbol_period
-        f_beat = spec.beat_ratio / t_packet
-        a1 = 10.0 ** (spec.power_delta / 20.0)
-        cfo1 = np.exp(1j * 2 * np.pi * (+f_beat / 2.0) * tau)
-        cfo2 = np.exp(1j * 2 * np.pi * (-f_beat / 2.0) * tau)
-
     bits1 = rng.integers(0, 2, size=(n_packets, L), dtype=np.int8)
-    rep1 = np.repeat(bits1.astype(bool), sps, axis=1)
-    phase1 = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n_packets))
-    y = np.where(rep1, e_plus, e_minus)
-    if two_tx:
-        y = y * cfo1
-        y *= a1 * phase1[:, None]
+    phase1 = rng.uniform(0.0, 2 * np.pi, n_packets)  # drawn even alone: fixes the stream order
+    bits2 = rel_phase = None
+    if spec.power_delta is not None:
         bits2 = bits1 if spec.same_data else rng.integers(0, 2, size=(n_packets, L), dtype=np.int8)
-        rep2 = np.repeat(bits2.astype(bool), sps, axis=1)
-        phase2 = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n_packets))
-        sig2 = np.where(rep2, e_plus, e_minus) * cfo2
-        sig2 *= phase2[:, None]
-        off = int(round(spec.time_delta * sps))
-        if off == 0:
-            y += sig2
-        else:
-            y[:, off:] += sig2[:, : n - off]
-    else:
-        y = y * phase1[:, None]
-
-    var = noise_variance_per_dim(ebn0_db, mod, ref_amplitude=1.0)
+        rel_phase = np.exp(1j * (rng.uniform(0.0, 2 * np.pi, n_packets) - phase1))
+    c = _correlate(spec._tables, bits1, bits2, rel_phase)
     if var > 0.0:
-        sigma = math.sqrt(var)
-        y += rng.normal(0.0, sigma, y.shape) + 1j * rng.normal(0.0, sigma, y.shape)
+        c00, c10, c11 = (math.sqrt(var) * x for x in spec._tables.chol)
+        w = rng.standard_normal((n_packets, L, 4)).view(complex)
+        c[..., 0] += c00 * w[..., 0]
+        c[..., 1] += c10 * w[..., 0] + c11 * w[..., 1]
 
-    # two-branch detector, symbol windows aligned with transmitter 1
-    windows = y.reshape(n_packets, L, sps)
-    ref = np.exp(-1j * 2 * np.pi * mod.freq_deviation * (np.arange(sps) / fs))
-    c_plus = windows @ ref
-    c_minus = windows @ ref.conj()
-    decisions = (np.abs(c_plus) ** 2 > np.abs(c_minus) ** 2).astype(np.int8)
+    energy = np.square(c.real) + np.square(c.imag)
+    decisions = energy[..., 1] > energy[..., 0]
     return np.count_nonzero(decisions != bits1, axis=1)
 
 
@@ -163,11 +237,14 @@ def _run_point(spec: PhyExperimentSpec, ebn0_db: float, grid_index: int) -> np.n
 def run_ber_point(
     spec: PhyExperimentSpec, ebn0_db: float, confidence: float = 0.99
 ) -> EstimateWithCI:
-    """Estimate BER at one Eb/N0 point, averaged over all replica packets."""
-    try:
-        grid_index = spec.ebn0_points.index(ebn0_db)
-    except ValueError:
-        grid_index = hash(round(ebn0_db * 1000)) & 0xFFFF
+    """Estimate BER at one Eb/N0 point of the spec's grid, over all replica packets.
+
+    The point's grid index keys its replica streams, so a point off the
+    grid has no stream of its own and is rejected.
+    """
+    if ebn0_db not in spec.ebn0_points:
+        raise ValueError(f"Eb/N0 {ebn0_db} dB is not a point of the spec's grid")
+    grid_index = spec.ebn0_points.index(ebn0_db)
     errors = _run_point(spec, ebn0_db, grid_index)
     n_bits = spec.replicas * spec.packet_bits
     return _estimate(int(errors.sum()), n_bits, confidence)

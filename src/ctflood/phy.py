@@ -144,6 +144,8 @@ def noise_variance_per_dim(ebn0_db: float, mod: ModulationParams, ref_amplitude:
     """
     if ref_amplitude <= 0:
         raise ValueError("ref_amplitude must be positive")
+    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
+        raise ValueError("ebn0_db must be finite or +inf (noiseless)")
     if math.isinf(ebn0_db):
         return 0.0
     x = 10.0 ** (ebn0_db / 10.0)

@@ -16,10 +16,9 @@ from .phy import ModulationParams, SampleStream
 
 @dataclass(frozen=True)
 class ReceiverConfig:
-    """Demodulator setup: modulation and which transmitter sets the timing."""
+    """Demodulator setup: the modulation whose tones the branches match."""
 
     mod: ModulationParams
-    sync_reference: int = 0
 
 
 def tone_matrix(mod: ModulationParams) -> np.ndarray:

@@ -108,6 +108,35 @@ def test_per_grid_and_determinism(tmp_path):
     assert (tmp_path / "per.csv").read_text() == first
 
 
+def test_per_cell_streams_are_keyed_by_seed_and_cell(tmp_path):
+    # --seed 2 and --seed 3 share no cell's replica stream
+    seeds = []
+    for s in ("2", "3"):
+        out = tmp_path / s
+        assert cli.main(["per", "--out", str(out), "--seed", s, "--replicas", "100"]) == 0
+        _, rows = read_csv(out / "per.csv")
+        seeds.append({r["seed"] for r in rows})
+    assert len(seeds[0]) == len(seeds[1]) == 27
+    assert not seeds[0] & seeds[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["per", "--ebn0-db", "nan"],
+    ["per", "--ebn0-db=-inf"],
+    ["per", "--delta-p", "nan"],
+    ["per", "--delta-p", "inf"],
+    ["per", "--beat-ratio", "nan"],
+    ["per", "--delta-t", "200"],
+    ["calibrate", "--ebn0-db", "nan"],
+    ["ber", "--step-db", "0"],
+    ["ber", "--step-db", "nan"],
+    ["ber", "--start-db", "14", "--stop-db", "0"],
+])
+def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
+    assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_flood_run(tmp_path):
     edges, nodes = write_topology(tmp_path)
     rc = cli.main([

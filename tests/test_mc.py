@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ctflood.linkmodel import dumps_table, loads_table
@@ -8,6 +12,8 @@ from ctflood.montecarlo import (
     CHUNK_PACKETS,
     EstimateWithCI,
     PhyExperimentSpec,
+    _correlate,
+    _estimate,
     _run_point,
     _simulate_chunk,
     calibrate_link_table,
@@ -16,7 +22,8 @@ from ctflood.montecarlo import (
     run_per_sweep,
     wilson_ci,
 )
-from ctflood.phy import ModulationParams
+from ctflood.phy import ModulationParams, TransmitterSpec, add_awgn, modulate, superpose
+from ctflood.rx import ReceiverConfig, count_bit_errors, demodulate, tone_matrix
 
 MOD = ModulationParams(symbol_period=1e-6)
 
@@ -64,6 +71,19 @@ def test_spec_validation():
         PhyExperimentSpec(mod=MOD, power_delta=-1.0)
     with pytest.raises(ValueError):
         PhyExperimentSpec(mod=MOD, packet_bits=0)
+    for bad in (dict(power_delta=math.nan), dict(power_delta=math.inf),
+                dict(time_delta=math.nan), dict(beat_ratio=math.nan),
+                dict(beat_ratio=math.inf), dict(packet_bits=8, time_delta=8.5)):
+        with pytest.raises(ValueError):
+            PhyExperimentSpec(mod=MOD, **bad)
+    # a delay of exactly one packet is legal: transmitter 2 misses every window
+    PhyExperimentSpec(mod=MOD, packet_bits=8, time_delta=8.0)
+
+
+def test_off_grid_ber_point_is_rejected():
+    spec = PhyExperimentSpec(mod=MOD, ebn0_points=(0.0, 1.0), replicas=100)
+    with pytest.raises(ValueError):
+        run_ber_point(spec, 0.001)
 
 
 def test_determinism_and_parallel_split():
@@ -148,3 +168,68 @@ def test_calibrate_slow_vs_fast_ordering():
                                  both_payload_cases=False)
     grid = table.tables[("1M", True)]
     assert grid[0, 0, 0] > grid[0, 0, 1]
+
+
+def _waveform_energies(spec, bits1, bits2, phase1, phase2):
+    """Branch energies of the sample-domain reference: phy + rx."""
+    mod, L = spec.mod, spec.packet_bits
+    if spec.power_delta is None:
+        streams = [modulate(bits1, mod, TransmitterSpec(phase=phase1))]
+    else:
+        f_beat = spec.beat_ratio / (L * mod.symbol_period)
+        streams = [
+            modulate(bits1, mod, TransmitterSpec(
+                amplitude=10 ** (spec.power_delta / 20), cfo=f_beat / 2, phase=phase1)),
+            modulate(bits2, mod, TransmitterSpec(
+                cfo=-f_beat / 2, time_offset=spec.time_delta * mod.symbol_period,
+                phase=phase2)),
+        ]
+    y = superpose(streams).samples[: L * mod.samples_per_symbol]
+    return np.abs(y.reshape(L, -1) @ tone_matrix(mod).T) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.floats(0.2, 2.0),
+    sps=st.sampled_from([8, 13, 16]),
+    L=st.integers(1, 12),
+    power_delta=st.none() | st.floats(0.0, 12.0),
+    offset_frac=st.floats(0.0, 1.0),
+    beat_ratio=st.floats(0.0, 4.0),
+    same_data=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 3 symbols and 4 samples of delay, different data, h = 0.6
+@example(h=0.6, sps=16, L=8, power_delta=0.0, offset_frac=52 / 128,
+         beat_ratio=1.0, same_data=False, seed=5)
+def test_kernel_energies_match_waveform_path(h, sps, L, power_delta, offset_frac,
+                                             beat_ratio, same_data, seed):
+    # noiseless branch energies of the kernel equal those of modulate +
+    # superpose + the rx correlators for the same bits and phases
+    mod = ModulationParams(symbol_period=1e-6, freq_deviation=h / 2e-6,
+                           samples_per_symbol=sps)
+    offset = round(offset_frac * L * sps)  # whole samples, as both paths round
+    spec = PhyExperimentSpec(mod=mod, packet_bits=L, power_delta=power_delta,
+                             time_delta=offset / sps, beat_ratio=beat_ratio,
+                             same_data=same_data, replicas=100)
+    rng = np.random.default_rng(seed)
+    bits1 = rng.integers(0, 2, size=(1, L), dtype=np.int8)
+    bits2 = bits1 if same_data else rng.integers(0, 2, size=(1, L), dtype=np.int8)
+    phase1, phase2 = rng.uniform(0.0, 2 * np.pi, 2)
+    rel_phase = np.exp(1j * np.array([phase2 - phase1]))
+    got = np.abs(_correlate(spec._tables, bits1, bits2, rel_phase)[0]) ** 2
+    want = _waveform_energies(spec, bits1[0], bits2[0], phase1, phase2)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
+
+
+def test_kernel_ber_matches_waveform_path_at_non_unit_index():
+    # h = 0.6: the two branches' noise is correlated, not independent
+    mod = ModulationParams(symbol_period=1e-6, freq_deviation=0.3e6)
+    spec = PhyExperimentSpec(mod=mod, packet_bits=128, ebn0_points=(6.0,),
+                             power_delta=None, replicas=2000, seed=61)
+    kernel = run_ber_point(spec, 6.0)
+    n_bits = 40_000
+    bits = np.random.default_rng(67).integers(0, 2, n_bits)
+    stream = add_awgn(modulate(bits, mod, TransmitterSpec(phase=0.7)), 6.0, mod, seed=71)
+    errors = count_bit_errors(bits, demodulate(stream, ReceiverConfig(mod), n_bits))
+    assert kernel.overlaps(_estimate(errors, n_bits, 0.99))
