@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import secrets
 import sys
 from importlib.metadata import version as pkg_version
@@ -73,8 +74,12 @@ def cmd_ber(args) -> int:
     _resolve_seed(args)
     if not args.step_db > 0:
         raise ValueError("--step-db must be positive")
+    if not (math.isfinite(args.start_db) and math.isfinite(args.stop_db)):
+        raise ValueError("--start-db and --stop-db must be finite")
     mod = _default_mod()
-    points = tuple(float(x) for x in np.arange(args.start_db, args.stop_db + 1e-9, args.step_db))
+    # start + k*step, rounded, so that a fractional step accumulates no error
+    n_points = math.floor((args.stop_db - args.start_db) / args.step_db + 1e-9) + 1
+    points = tuple(round(args.start_db + k * args.step_db, 9) for k in range(n_points))
     if not points:
         raise ValueError("--stop-db is below --start-db")
     spec = montecarlo.PhyExperimentSpec(

@@ -34,8 +34,10 @@ class LinkQuery:
     t_beat: float  # seconds; inf means no beating
 
     def __post_init__(self):
-        if self.t_packet <= 0 or self.t_beat <= 0:
+        if not (self.t_packet > 0 and self.t_beat > 0):
             raise ValueError("t_packet and t_beat must be positive")
+        if math.isnan(self.delta_p) or math.isnan(self.delta_t):
+            raise ValueError("delta_p and delta_t must not be NaN")
 
 
 @dataclass

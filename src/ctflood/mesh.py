@@ -4,24 +4,29 @@ Every slot, each node picks transmit/listen/sleep from its state machine.
 Reception of a listener is resolved from the two strongest concurrent
 arrivals: their received-power difference, their relative timing jitter,
 and the beat period of their carrier offsets index the link table, and a
-Bernoulli draw decides the outcome.
+Bernoulli draw decides the outcome. A node that receives adopts the
+round and slot counters the beacon carries.
+
+Edge gains are the received power in dB at the reference transmit power
+that every node uses; per-slot fading perturbs them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import node as nd
-from .airtime import PhyMode, air_time, encode_beacon, get_mode, slot_length, DEFAULT_GUARD
+from .airtime import DEFAULT_GUARD, PhyMode, air_time, get_mode, slot_length
 from .linkmodel import LinkQuery, LinkTable, reception_probability
 from .models import jitter_sigma
 
 NEG_INF = float("-inf")
+F_CLOCK = 16e6  # Hz, slot timer clock of every node
 
 
 @dataclass
@@ -43,33 +48,30 @@ class Topology:
             raise ValueError("topology arrays do not match node count")
         if not 0 <= self.initiator < n:
             raise ValueError("initiator out of range")
-        if np.any(np.isposinf(self.gains)):
+        if np.any(np.isnan(self.gains) | np.isposinf(self.gains)):
             raise ValueError("gains must be finite or -inf")
+        if not np.all(np.isfinite(self.cfo)):
+            raise ValueError("cfo must be finite")
 
     @classmethod
     def build(
         cls,
         edges: Sequence[Tuple[int, int, float]],
         n_nodes: int,
-        cfo: Optional[Sequence[float]] = None,
-        cfo_ppm_std: float = 10.0,
-        carrier_hz: float = 2.4e9,
-        f_clock: float = 16e6,
+        cfo: Sequence[float],
         initiator: int = 0,
         symmetric: bool = True,
-        seed: int = 0,
     ) -> "Topology":
-        """Assemble a topology from an edge list; CFOs drawn if not given."""
+        """Assemble a topology from an edge list and per-node CFOs (Hz)."""
         gains = np.full((n_nodes, n_nodes), NEG_INF)
         for src, dst, g in edges:
+            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+                raise ValueError(f"edge {src}->{dst} names an unknown node")
             gains[src, dst] = g
             if symmetric:
                 gains[dst, src] = g
-        if cfo is None:
-            rng = np.random.default_rng(seed)
-            cfo = rng.normal(0.0, cfo_ppm_std * 1e-6 * carrier_hz, n_nodes)
-        jitter = np.full(n_nodes, jitter_sigma(f_clock))
-        return cls(n_nodes, gains, np.asarray(cfo, dtype=float), jitter, initiator)
+        jitter = np.full(n_nodes, jitter_sigma(F_CLOCK))
+        return cls(n_nodes, gains, cfo, jitter, initiator)
 
     def hop_distances(self) -> np.ndarray:
         """Unweighted shortest-path distance from the initiator (BFS)."""
@@ -96,20 +98,15 @@ class SimConfig:
     pdu_len: int = 38
     rounds: int = 100
     seed: int = 0
-    tx_power: Optional[np.ndarray] = None  # dBm per node
     fading_std: float = 1.0  # dB, per-slot gain perturbation
-    channel_erasure: Optional[Dict[int, float]] = None
-    guard: float = DEFAULT_GUARD
-    start_synced: bool = True
 
     def __post_init__(self):
         if self.mode is None:
             self.mode = get_mode("2M")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.tx_power is None:
-            self.tx_power = np.zeros(self.topology.n_nodes)
-        self.tx_power = np.asarray(self.tx_power, dtype=float)
+        if not 0 <= self.fading_std < math.inf:
+            raise ValueError("fading_std must be finite and >= 0")
 
     @property
     def air_time(self) -> float:
@@ -117,15 +114,13 @@ class SimConfig:
 
     @property
     def slot_length(self) -> float:
-        return slot_length(self.mode, self.pdu_len, guard=self.guard)
+        return slot_length(self.mode, self.pdu_len)
 
 
 @dataclass
 class RoundMetrics:
     round_no: int
-    received: Dict[int, bool]
-    first_slot: Dict[int, Optional[int]]  # 1-based reception ordinal
-    latency: Dict[int, Optional[float]]
+    first_slot: Dict[int, Optional[int]]  # 1-based reception ordinal, None if missed
     success: bool
     active_slots: int
 
@@ -145,35 +140,37 @@ def resolve_slot(
     listener: int,
     transmitters: Sequence[int],
     topology: Topology,
-    table: LinkTable,
     cfg: SimConfig,
     jitter: np.ndarray,
     rng: np.random.Generator,
-    same_data: bool = True,
 ) -> bool:
-    """Bernoulli reception outcome of one listener in one slot."""
+    """Bernoulli reception outcome of one listener in one slot.
+
+    Every transmitter of a flood sends the same beacon, so the table's
+    same-data entry applies.
+    """
     arrivals = []
     for t in transmitters:
-        g = topology.gains[t, listener]
-        if g == NEG_INF:
+        p_rx = topology.gains[t, listener]
+        if p_rx == NEG_INF:
             continue
-        p_rx = cfg.tx_power[t] + g
         if cfg.fading_std > 0:
             p_rx += rng.normal(0.0, cfg.fading_std)
         arrivals.append((p_rx, t))
     if not arrivals:
         return False
     arrivals.sort(reverse=True)
+    table = cfg.table
     t_packet = cfg.air_time
     if len(arrivals) == 1:
         # a lone transmitter behaves like an infinitely strong capture
-        q = LinkQuery(cfg.mode, same_data, delta_p=float(table.dp_axis[-1]),
+        q = LinkQuery(cfg.mode, True, delta_p=float(table.dp_axis[-1]),
                       delta_t=0.0, t_packet=t_packet, t_beat=math.inf)
     else:
         (p1, t1), (p2, t2) = arrivals[0], arrivals[1]
         dcfo = abs(topology.cfo[t1] - topology.cfo[t2])
         t_beat = math.inf if dcfo == 0 else 1.0 / dcfo
-        q = LinkQuery(cfg.mode, same_data, delta_p=p1 - p2,
+        q = LinkQuery(cfg.mode, True, delta_p=p1 - p2,
                       delta_t=abs(jitter[t1] - jitter[t2]),
                       t_packet=t_packet, t_beat=t_beat)
     p = reception_probability(table, q)
@@ -181,65 +178,47 @@ def resolve_slot(
 
 
 def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
-    """Simulate cfg.rounds flooding rounds; deterministic for a given seed."""
+    """Simulate cfg.rounds flooding rounds; deterministic for a given seed.
+
+    Every node starts synchronized; a node that misses resync_threshold
+    rounds in a row scans until it hears a beacon again.
+    """
     topo = cfg.topology
-    pol = cfg.policy
     n = topo.n_nodes
     init = topo.initiator
     rng = np.random.default_rng(cfg.seed)
-    policies = {
-        v: nd.NodePolicy(
-            n_tx=pol.n_tx, diameter=pol.diameter, wait_slots=pol.wait_slots,
-            is_initiator=(v == init), resync_threshold=pol.resync_threshold,
-            channel_count=pol.channel_count, round_period=pol.round_period,
-            hop_sequence=pol.hop_sequence,
-        )
-        for v in range(n)
-    }
-    states = {}
-    for v in range(n):
-        if cfg.start_synced or v == init:
-            states[v] = nd.NodeState(phase=nd.PHASE_SYNCED)
-        else:
-            states[v] = nd.NodeState(
-                phase=nd.PHASE_SCANNING,
-                scan_channel=pol.hop_sequence[0],
-                scan_periods_left=2 * pol.channel_count,
-            )
+    relay_policy = replace(cfg.policy, is_initiator=False)
+    policies = [relay_policy] * n
+    policies[init] = replace(cfg.policy, is_initiator=True)
+    states = [nd.NodeState()] * n
 
     rounds_log: List[RoundMetrics] = []
     hop_depth = np.zeros(n, dtype=int)  # drives accumulated jitter variance
 
     for r in range(cfg.rounds):
-        for v in range(n):
-            states[v] = nd.start_round(states[v], r)
+        states = [nd.start_round(st, r) for st in states]
         hop_depth[:] = 0
         first_slot: Dict[int, Optional[int]] = {v: None for v in range(n) if v != init}
         active = 0
 
-        for s in range(pol.slots_per_round):
-            actions = {v: nd.next_action(states[v], policies[v], s) for v in range(n)}
-            txers = [v for v, (kind, _c) in actions.items() if kind == nd.ACT_TX]
-            active += sum(1 for kind, _c in actions.values() if kind != nd.ACT_SLEEP)
+        for s in range(relay_policy.slots_per_round):
+            actions = [nd.next_action(states[v], policies[v], s) for v in range(n)]
+            txers = [v for v, (kind, _c) in enumerate(actions) if kind == nd.ACT_TX]
+            active += sum(1 for kind, _c in actions if kind != nd.ACT_SLEEP)
 
-            # fresh per-slot timing jitter, widening with hop depth
-            jitter = rng.normal(0.0, 1.0, n) * topo.jitter_std * np.sqrt(
-                np.maximum(hop_depth, 0)
-            )
-            jitter[init] = 0.0
-            frame = encode_beacon(r & 0xFFFF, s & 0xFFFF)
+            # fresh per-slot timing jitter, widening with hop depth (the
+            # initiator's depth stays 0)
+            jitter = rng.normal(0.0, 1.0, n) * topo.jitter_std * np.sqrt(hop_depth)
 
-            for v, (kind, chan) in actions.items():
+            for v, (kind, chan) in enumerate(actions):
                 if kind != nd.ACT_RX:
-                    continue
-                if cfg.channel_erasure and rng.random() < cfg.channel_erasure.get(chan, 0.0):
                     continue
                 on_channel = [t for t in txers if actions[t][1] == chan]
                 if not on_channel:
                     continue
-                if resolve_slot(v, on_channel, topo, cfg.table, cfg, jitter, rng):
-                    states[v] = nd.handle_reception(states[v], frame, policies[v], s)
-                    if first_slot.get(v) is None:
+                if resolve_slot(v, on_channel, topo, cfg, jitter, rng):
+                    states[v] = nd.handle_reception(states[v], r, s, policies[v])
+                    if first_slot[v] is None:
                         first_slot[v] = s + 1
                         hop_depth[v] = s + 1
 
@@ -251,35 +230,28 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
                 states[v] = nd.scan_step(states[v], policies[v], rng)
             states[v] = nd.round_end(states[v], policies[v])
 
-        received = {v: first_slot[v] is not None for v in first_slot}
-        latency = {
-            v: (first_slot[v] * cfg.slot_length if first_slot[v] else None)
-            for v in first_slot
-        }
-        rounds_log.append(
-            RoundMetrics(r, received, dict(first_slot), latency,
-                         success=all(received.values()), active_slots=active)
-        )
+        success = all(fs is not None for fs in first_slot.values())
+        rounds_log.append(RoundMetrics(r, first_slot, success, active))
 
     return summarize(cfg, rounds_log), rounds_log
 
 
 def summarize(cfg: SimConfig, rounds_log: Sequence[RoundMetrics]) -> Summary:
     n_rounds = len(rounds_log)
-    listeners = sorted(rounds_log[0].received)
+    listeners = sorted(rounds_log[0].first_slot)
     delivery = {
-        v: sum(m.received[v] for m in rounds_log) / n_rounds for v in listeners
+        v: sum(m.first_slot[v] is not None for m in rounds_log) / n_rounds
+        for v in listeners
     }
     failures = sum(1 for m in rounds_log if not m.success)
     per = failures / n_rounds
     hops = [m.first_slot[v] for m in rounds_log for v in listeners if m.first_slot[v]]
     avg_hop = float(np.mean(hops)) if hops else 0.0
-    lat = [m.latency[v] for m in rounds_log for v in listeners if m.latency[v]]
-    avg_latency = float(np.mean(lat)) if lat else 0.0
-    r_avg = avg_radio_time(avg_hop, cfg.guard, cfg.air_time, cfg.policy.n_tx)
-    dc = duty_cycle_est(avg_hop, per, cfg.air_time, cfg.guard, cfg.policy.n_tx,
-                        cfg.policy.wait_slots, cfg.policy.round_period)
-    return Summary(n_rounds, per, delivery, avg_hop, avg_latency, r_avg, dc)
+    pol = cfg.policy
+    r_avg = avg_radio_time(avg_hop, DEFAULT_GUARD, cfg.air_time, pol.n_tx)
+    dc = duty_cycle_est(avg_hop, per, cfg.air_time, DEFAULT_GUARD, pol.n_tx,
+                        pol.wait_slots, pol.round_period)
+    return Summary(n_rounds, per, delivery, avg_hop, avg_hop * cfg.slot_length, r_avg, dc)
 
 
 def avg_radio_time(avg_hop_count: float, guard: float, air: float, n_tx: int) -> float:
@@ -304,12 +276,6 @@ def duty_cycle_est(
     return on_time / round_period
 
 
-def duty_cycle(summary: Summary, cfg: SimConfig) -> float:
-    return duty_cycle_est(summary.avg_hop, summary.end_to_end_per, cfg.air_time,
-                          cfg.guard, cfg.policy.n_tx, cfg.policy.wait_slots,
-                          cfg.policy.round_period)
-
-
 def average_power(
     avg_hop_count: float, air: float, guard: float, n_tx: int,
     p_tx: float, p_rx: float,
@@ -323,7 +289,11 @@ def average_power(
 # ---------------------------------------------------------------------------
 
 def load_topology(edge_path, node_path) -> Topology:
-    """Edge list CSV `src,dst,gain_db` plus node CSV `id,cfo_hz,is_initiator`."""
+    """Edge list CSV `src,dst,gain_db` plus node CSV `id,cfo_hz,is_initiator`.
+
+    gain_db is the received power at the reference transmit power; edges
+    must name existing node ids.
+    """
     nodes = []
     with open(node_path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -347,7 +317,7 @@ def load_topology(edge_path, node_path) -> Topology:
 
 
 def write_round_log(path, rounds_log: Sequence[RoundMetrics], header_lines=()):
-    listeners = sorted(rounds_log[0].received)
+    listeners = sorted(rounds_log[0].first_slot)
     with open(path, "w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")

@@ -2,19 +2,20 @@
 
 Each dissemination round is split into slots. The initiator transmits the
 beacon for the first wait_slots slots of the round; every other node
-listens until it hears one valid beacon, retransmits it in the next n_tx
-slots, then sleeps until the next round. Nodes that miss too many rounds
-in a row fall back to channel scanning to re-acquire the schedule.
+listens until it hears one beacon, adopts its (round, slot) counters,
+retransmits it in the next n_tx slots, then sleeps until the next round.
+All synchronized nodes derive the hop channel, a BLE channel in 0-39, from
+those counters. Nodes that miss too many rounds in a row fall back to
+channel scanning to re-acquire the schedule.
 
 State transitions are pure: every operation returns a new NodeState.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
-
-from .airtime import BeaconFrame, decode_beacon
 
 PHASE_SCANNING = "scanning"
 PHASE_SYNCED = "synced"
@@ -45,6 +46,10 @@ class NodePolicy:
             raise ValueError("channel_count must be in [1, 40]")
         if not self.hop_sequence:
             raise ValueError("hop_sequence must be non-empty")
+        if not all(0 <= c <= 39 for c in self.hop_sequence):
+            raise ValueError("hop channels must lie in 0-39")
+        if not 0 < self.round_period < math.inf:
+            raise ValueError("round_period must be finite and positive")
         if self.wait_slots is None:
             object.__setattr__(self, "wait_slots", self.n_tx + 2 * self.diameter)
         if self.wait_slots < 1:
@@ -61,14 +66,12 @@ class NodePolicy:
 class NodeState:
     phase: str = PHASE_SYNCED
     round: int = 0
-    slot: int = 0
     pending_tx: int = 0
     missed_rounds: int = 0
     received_this_round: bool = False
     rx_slot: Optional[int] = None
     scan_channel: int = 37
     scan_periods_left: int = 0
-    last_sync_timestamp: int = 0
 
 
 def channel_for(round_no: int, slot: int, hop_sequence: Sequence[int],
@@ -108,13 +111,9 @@ def after_transmit(state: NodeState) -> NodeState:
     return replace(state, pending_tx=state.pending_tx - 1)
 
 
-def handle_reception(state: NodeState, frame: BeaconFrame, policy: NodePolicy,
-                     slot_timestamp: int) -> NodeState:
-    """Adopt counters from a decoded beacon; invalid frames change nothing."""
-    try:
-        round_no, slot, _payload = decode_beacon(frame)
-    except ValueError:
-        return state
+def handle_reception(state: NodeState, round_no: int, slot: int,
+                     policy: NodePolicy) -> NodeState:
+    """Adopt the (round, slot) counters of a received beacon."""
     if state.received_this_round:
         # duplicate within the round: no extra retransmissions
         return state
@@ -122,12 +121,10 @@ def handle_reception(state: NodeState, frame: BeaconFrame, policy: NodePolicy,
         state,
         phase=PHASE_SYNCED,
         round=round_no,
-        slot=slot,
         pending_tx=policy.n_tx,
         missed_rounds=0,
         received_this_round=True,
         rx_slot=slot,
-        last_sync_timestamp=slot_timestamp,
     )
 
 
@@ -147,7 +144,7 @@ def start_round(state: NodeState, round_no: int) -> NodeState:
     """Reset per-round flags at the round boundary."""
     if state.phase == PHASE_SCANNING:
         return state
-    return replace(state, phase=PHASE_SYNCED, round=round_no, slot=0,
+    return replace(state, phase=PHASE_SYNCED, round=round_no,
                    pending_tx=0, received_this_round=False, rx_slot=None)
 
 

@@ -33,12 +33,14 @@ class ModulationParams:
     samples_per_symbol: int = 16
 
     def __post_init__(self):
-        if self.symbol_period <= 0:
-            raise ValueError("symbol_period must be positive")
+        if not 0 < self.symbol_period < math.inf:
+            raise ValueError("symbol_period must be finite and positive")
         if self.samples_per_symbol < 8:
             raise ValueError("samples_per_symbol must be >= 8")
         if self.freq_deviation is None:
             object.__setattr__(self, "freq_deviation", 1.0 / (2.0 * self.symbol_period))
+        if not 0 < self.freq_deviation < math.inf:
+            raise ValueError("freq_deviation must be finite and positive")
         if self.modulation_index <= 0:
             raise ValueError("modulation index must be positive")
 

@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 
 from ctflood import cli, mesh
-from ctflood.airtime import encode_beacon, get_mode
+from ctflood.airtime import get_mode
 from ctflood.linkmodel import LinkTable, paper_default_table
 from ctflood.models import (
     ber_2ct_equal,
@@ -288,7 +288,7 @@ def test_acceptance_09_protocol_invariants():
                         first_tx = s
                     state = nd.after_transmit(state)
                 elif kind == nd.ACT_RX and hear and s == rx_slot:
-                    state = nd.handle_reception(state, encode_beacon(rnd, s), pol, s)
+                    state = nd.handle_reception(state, rnd, s, pol)
                     first_rx = s
                 kb, _ = nd.next_action(peer, pol_init, s)
                 if kb == nd.ACT_TX:

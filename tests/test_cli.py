@@ -137,6 +137,37 @@ def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("edges_text, nodes_text, flags", [
+    pytest.param("src,dst,gain_db\n0,5,-60\n", None, [], id="unknown-node"),
+    pytest.param("src,dst,gain_db\n0,1,nan\n1,0,-60\n", None, [], id="nan-gain"),
+    pytest.param(None, "id,cfo_hz,is_initiator\n0,0,1\n1,nan,0\n2,-4000,0\n", [],
+                 id="nan-cfo"),
+    pytest.param(None, None, ["--channels", "99,-4"], id="channels"),
+    pytest.param(None, None, ["--period", "0"], id="period-0"),
+    pytest.param(None, None, ["--period", "nan"], id="period-nan"),
+    pytest.param(None, None, ["--fading-std", "nan"], id="fading-nan"),
+    pytest.param(None, None, ["--fading-std=-1"], id="fading-negative"),
+])
+def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, flags):
+    edges, nodes = write_topology(tmp_path)
+    if edges_text:
+        edges.write_text(edges_text)
+    if nodes_text:
+        nodes.write_text(nodes_text)
+    rc = cli.main(["flood", "--topology", str(edges), "--nodes", str(nodes),
+                   "--out", str(tmp_path / "out"), "--seed", "1", "--rounds", "5",
+                   "--diameter", "2"] + flags)
+    assert rc == cli.EXIT_INPUT
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_ber_fractional_step_grid(tmp_path):
+    assert cli.main(["ber", "--out", str(tmp_path), "--seed", "1", "--bits", "1280",
+                     "--start-db", "0", "--stop-db", "0.5", "--step-db", "0.1"]) == 0
+    _, rows = read_csv(tmp_path / "ber.csv")
+    assert [r["ebn0_db"] for r in rows] == ["0.0", "0.1", "0.2", "0.3", "0.4", "0.5"]
+
+
 def test_flood_run(tmp_path):
     edges, nodes = write_topology(tmp_path)
     rc = cli.main([

@@ -130,6 +130,15 @@ def test_missing_mode_rejected():
         reception_probability(small, q)
 
 
+def test_nan_query_rejected():
+    with pytest.raises(ValueError):
+        reception_probability(TABLE, _query("1M", True, math.nan, 0.0, 1.0))
+    with pytest.raises(ValueError):
+        reception_probability(TABLE, _query("1M", True, 0.0, math.nan, 1.0))
+    with pytest.raises(ValueError):
+        reception_probability(TABLE, _query("1M", True, 0.0, 0.0, math.nan))
+
+
 def test_csv_roundtrip_exact(tmp_path):
     text = dumps_table(TABLE)
     back = loads_table(text)

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctflood import node as nd
-from ctflood.airtime import BeaconFrame, encode_beacon
 
 
 def make_policy(**kw):
@@ -21,6 +22,13 @@ def test_policy_defaults_and_validation():
         make_policy(channel_count=41)
     with pytest.raises(ValueError):
         nd.NodePolicy(hop_sequence=())
+    for bad in ((99,), (37, -4), (40,)):
+        with pytest.raises(ValueError):
+            make_policy(hop_sequence=bad)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_policy(round_period=bad)
+    assert make_policy(hop_sequence=(0, 39)).hop_sequence == (0, 39)
 
 
 def test_initiator_schedule():
@@ -44,7 +52,7 @@ def test_non_initiator_listen_then_burst_then_sleep():
         kind, _ = nd.next_action(st, p, s)
         actions.append(kind)
         if kind == nd.ACT_RX and s == k:
-            st = nd.handle_reception(st, encode_beacon(0, s), p, s)
+            st = nd.handle_reception(st, 0, s, p)
         if kind == nd.ACT_TX:
             st = nd.after_transmit(st)
     assert actions[: k + 1] == [nd.ACT_RX] * (k + 1)
@@ -64,18 +72,30 @@ def test_handle_reception_sync_and_idempotence():
     p = make_policy(n_tx=3, diameter=1)
     scanning = nd.NodeState(phase=nd.PHASE_SCANNING, scan_channel=38,
                             scan_periods_left=4)
-    synced = nd.handle_reception(scanning, encode_beacon(12, 4), p, 4)
+    synced = nd.handle_reception(scanning, 12, 4, p)
     assert synced.phase == nd.PHASE_SYNCED
     assert (synced.round, synced.rx_slot) == (12, 4)
     assert synced.pending_tx == p.n_tx
     assert synced.missed_rounds == 0
     # duplicate reception in the same round grants no extra transmissions
     later = nd.after_transmit(synced)
-    again = nd.handle_reception(later, encode_beacon(12, 6), p, 6)
+    again = nd.handle_reception(later, 12, 6, p)
     assert again == later
-    # corrupted frame leaves the state untouched
-    garbage = BeaconFrame(bytes(38))
-    assert nd.handle_reception(scanning, garbage, p, 1) == scanning
+
+
+def test_relay_keeps_the_full_round_counter():
+    # a round counter cut to 16 bits would put the relay on another channel:
+    # 65536 * slots_per_round (10) is not a multiple of the 3 hop channels
+    p = make_policy(n_tx=3, diameter=2)
+    assert p.slots_per_round == 10
+    r, s = 70_000, 4
+    relay = nd.handle_reception(nd.start_round(nd.NodeState(), r), r, s, p)
+    kind, chan = nd.next_action(relay, p, s + 1)
+    want = nd.channel_for(r, s + 1, p.hop_sequence, p.slots_per_round)
+    assert kind == nd.ACT_TX and chan == want
+    initiator = nd.start_round(nd.NodeState(), r)
+    assert nd.next_action(initiator, replace(p, is_initiator=True), s + 1) == (nd.ACT_TX, want)
+    assert want != nd.channel_for(r & 0xFFFF, s + 1, p.hop_sequence, p.slots_per_round)
 
 
 def test_channel_for_indexing():

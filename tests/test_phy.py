@@ -34,6 +34,12 @@ def test_modulation_params_validation():
         ModulationParams(symbol_period=0.0)
     with pytest.raises(ValueError):
         ModulationParams(symbol_period=1e-6, samples_per_symbol=4)
+    for bad in (float("nan"), float("inf"), -1e-6):
+        with pytest.raises(ValueError):
+            ModulationParams(symbol_period=bad)
+    for bad in (float("nan"), float("inf"), 0.0, -1e5):
+        with pytest.raises(ValueError):
+            ModulationParams(symbol_period=1e-6, freq_deviation=bad)
 
 
 def _inst_freq(stream):
