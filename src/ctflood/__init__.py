@@ -27,7 +27,7 @@ from .montecarlo import (
     PhyExperimentSpec,
     calibrate_link_table,
     run_ber_point,
-    run_per_sweep,
+    run_per_point,
     wilson_ci,
 )
 from .linkmodel import (

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import secrets
 import sys
 from importlib.metadata import version as pkg_version
 from pathlib import Path
-
-import numpy as np
 
 from . import airtime, linkmodel, mesh, models, montecarlo, node
 from .phy import ModulationParams
@@ -74,6 +73,8 @@ def cmd_ber(args) -> int:
     _resolve_seed(args)
     if not args.step_db > 0:
         raise ValueError("--step-db must be positive")
+    if args.bits <= 0:
+        raise ValueError("--bits must be positive")
     if not (math.isfinite(args.start_db) and math.isfinite(args.stop_db)):
         raise ValueError("--start-db and --stop-db must be finite")
     mod = _default_mod()
@@ -85,7 +86,6 @@ def cmd_ber(args) -> int:
     spec = montecarlo.PhyExperimentSpec(
         mod=mod,
         packet_bits=128,
-        ebn0_points=points,
         power_delta=0.0 if args.ct else None,
         beat_ratio=1.0,
         replicas=max(100, args.bits // 128),
@@ -112,31 +112,28 @@ def cmd_ber(args) -> int:
 
 def cmd_per(args) -> int:
     _resolve_seed(args)
+    if not (args.delta_p and args.delta_t and args.beat_ratio):
+        raise ValueError("--delta-p, --delta-t and --beat-ratio must not be empty")
     mod = _default_mod()
     rows = []
-    grid_index = 0
-    for dp in args.delta_p:
-        for dt in args.delta_t:
-            for br in args.beat_ratio:
-                spec = montecarlo.PhyExperimentSpec(
-                    mod=mod,
-                    packet_bits=args.bits_per_packet,
-                    ebn0_points=(args.ebn0_db,),
-                    power_delta=dp,
-                    time_delta=dt,
-                    beat_ratio=br,
-                    same_data=not args.different_data,
-                    replicas=args.replicas,
-                    seed=int(np.random.SeedSequence([args.seed, grid_index]).generate_state(1)[0]),
-                )
-                est = montecarlo.run_per_point(spec, args.ebn0_db)
-                failures = round(est.point * est.n_trials)
-                rows.append([
-                    "1M", int(not args.different_data), dp, dt, br,
-                    args.ebn0_db, est.n_trials, failures, est.point,
-                    est.ci_low, est.ci_high, spec.seed,
-                ])
-                grid_index += 1
+    for dp, dt, br in itertools.product(args.delta_p, args.delta_t, args.beat_ratio):
+        spec = montecarlo.PhyExperimentSpec(
+            mod=mod,
+            packet_bits=args.bits_per_packet,
+            power_delta=dp,
+            time_delta=dt,
+            beat_ratio=br,
+            same_data=not args.different_data,
+            replicas=args.replicas,
+            seed=args.seed,
+        )
+        est = montecarlo.run_per_point(spec, args.ebn0_db)
+        failures = round(est.point * est.n_trials)
+        rows.append([
+            "1M", int(not args.different_data), dp, dt, br,
+            args.ebn0_db, est.n_trials, failures, est.point,
+            est.ci_low, est.ci_high, args.seed,
+        ])
     path = _open_out(args, "per.csv")
     _write_csv(path, ["mode", "same_data", "delta_p_db", "delta_t_frac",
                       "beat_ratio", "ebn0_db", "trials", "failures", "per",
@@ -201,8 +198,7 @@ def cmd_calibrate(args) -> int:
     _resolve_seed(args)
     mod = _default_mod()
     spec = montecarlo.PhyExperimentSpec(
-        mod=mod, packet_bits=args.bits_per_packet,
-        ebn0_points=(args.ebn0_db,), replicas=args.replicas, seed=args.seed,
+        mod=mod, packet_bits=args.bits_per_packet, replicas=args.replicas, seed=args.seed,
     )
     table = montecarlo.calibrate_link_table(
         spec, args.mode.upper(), args.delta_p, args.delta_t, args.beat_ratio,
@@ -279,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start-db", type=float, default=0.0)
     sp.add_argument("--stop-db", type=float, default=14.0)
     sp.add_argument("--step-db", type=float, default=1.0)
-    sp.add_argument("--bits", type=int, default=20000, help="Monte Carlo bits per point")
+    sp.add_argument("--bits", type=int, default=20000,
+                    help="Monte Carlo bits per point, in whole 128-bit packets, "
+                         "at least 100 packets (12800 bits)")
     sp.add_argument("--ct", action="store_true",
                     help="Monte Carlo column simulates two aligned equal transmitters")
     sp.set_defaults(func=cmd_ber)

@@ -40,6 +40,13 @@ class LinkQuery:
             raise ValueError("delta_p and delta_t must not be NaN")
 
 
+def check_axes(*axes: np.ndarray) -> None:
+    """Raise ValueError unless every axis is non-empty, finite and strictly increasing."""
+    for ax in axes:
+        if ax.size == 0 or not np.all(np.isfinite(ax)) or np.any(np.diff(ax) <= 0):
+            raise ValueError("axes must be non-empty, finite and strictly increasing")
+
+
 @dataclass
 class LinkTable:
     """Dense reception-probability tensors over (delta_p, delta_t, beat_ratio)."""
@@ -54,9 +61,7 @@ class LinkTable:
         self.dp_axis = np.asarray(self.dp_axis, dtype=float)
         self.dt_axis = np.asarray(self.dt_axis, dtype=float)
         self.br_axis = np.asarray(self.br_axis, dtype=float)
-        for ax in (self.dp_axis, self.dt_axis, self.br_axis):
-            if ax.size == 0 or np.any(np.diff(ax) <= 0):
-                raise ValueError("axes must be non-empty and strictly increasing")
+        check_axes(self.dp_axis, self.dt_axis, self.br_axis)
         shape = (self.dp_axis.size, self.dt_axis.size, self.br_axis.size)
         if not self.tables:
             raise ValueError("table has no entries")

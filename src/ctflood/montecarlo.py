@@ -17,30 +17,34 @@ kernel computes those directly instead of synthesizing the waveform of
   index; at h = 1 the tones are orthogonal and K = sps * I.
 
 `phy` and `rx` remain the sample-domain reference the kernel is tested
-against. Replica randomness is keyed by (seed, grid index, chunk index) so
-chunks can be computed in any order, or in parallel, with identical pooled
-results.
+against. A cell is a spec plus one Eb/N0 value. Its replica streams are
+keyed by what the cell is (seed, Eb/N0, power delta, time delta, beat
+ratio, payload case) and by chunk index, so a cell gives the same counts
+alone or inside any sweep or grid, and chunks can be computed in any order,
+or in parallel, with identical pooled results.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .phy import ModulationParams, noise_variance_per_dim
-from .linkmodel import LinkTable
+from .linkmodel import LinkTable, check_axes
 
 CHUNK_PACKETS = 2000
+CONFIDENCE = 0.99  # of the Wilson intervals that run_ber_point and run_per_point report
 
 
 @dataclass(frozen=True)
 class PhyExperimentSpec:
-    """One grid point (or sweep) of the two-transmitter packet experiment.
+    """The two-transmitter packet experiment; with one Eb/N0 value, one cell.
 
     power_delta is 20*log10(A1/A2) with transmitter 1 the stronger one;
     None means a single transmitter. The weaker transmitter stays at the
@@ -51,7 +55,6 @@ class PhyExperimentSpec:
 
     mod: ModulationParams
     packet_bits: int = 128
-    ebn0_points: Tuple[float, ...] = (12.0,)
     power_delta: Optional[float] = 0.0
     time_delta: float = 0.0
     beat_ratio: float = 0.25
@@ -111,8 +114,8 @@ def wilson_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _estimate(k: int, n: int, confidence: float) -> EstimateWithCI:
-    lo, hi = wilson_ci(k, n, confidence)
+def _estimate(k: int, n: int) -> EstimateWithCI:
+    lo, hi = wilson_ci(k, n, CONFIDENCE)
     p = k / n
     return EstimateWithCI(min(max(p, lo), hi), lo, hi, n)
 
@@ -220,53 +223,39 @@ def _simulate_chunk(
     return np.count_nonzero(decisions != bits1, axis=1)
 
 
-def _run_point(spec: PhyExperimentSpec, ebn0_db: float, grid_index: int) -> np.ndarray:
-    """Per-packet error counts for all replicas of one grid point."""
+def _key_word(x: Optional[float]) -> int:
+    """IEEE-754 bit pattern of x + 0.0, so -0.0 and 0.0 are one word; 2**64 for None."""
+    if x is None:
+        return 2**64
+    return struct.unpack("<Q", struct.pack("<d", x + 0.0))[0]
+
+
+def _chunk_rng(spec: PhyExperimentSpec, ebn0_db: float, chunk: int) -> np.random.Generator:
+    """Replica stream of one chunk of the cell (spec, ebn0_db), keyed by what the cell is."""
+    key = [spec.seed, _key_word(ebn0_db), _key_word(spec.power_delta),
+           _key_word(spec.time_delta), _key_word(spec.beat_ratio), int(spec.same_data), chunk]
+    return np.random.default_rng(key)
+
+
+def _run_point(spec: PhyExperimentSpec, ebn0_db: float) -> np.ndarray:
+    """Per-packet error counts for all replicas of one cell."""
     counts = []
-    done = 0
-    chunk_index = 0
-    while done < spec.replicas:
+    for chunk, done in enumerate(range(0, spec.replicas, CHUNK_PACKETS)):
         m = min(CHUNK_PACKETS, spec.replicas - done)
-        rng = np.random.default_rng([spec.seed, grid_index, chunk_index])
-        counts.append(_simulate_chunk(spec, ebn0_db, m, rng))
-        done += m
-        chunk_index += 1
+        counts.append(_simulate_chunk(spec, ebn0_db, m, _chunk_rng(spec, ebn0_db, chunk)))
     return np.concatenate(counts)
 
 
-def run_ber_point(
-    spec: PhyExperimentSpec, ebn0_db: float, confidence: float = 0.99
-) -> EstimateWithCI:
-    """Estimate BER at one Eb/N0 point of the spec's grid, over all replica packets.
-
-    The point's grid index keys its replica streams, so a point off the
-    grid has no stream of its own and is rejected.
-    """
-    if ebn0_db not in spec.ebn0_points:
-        raise ValueError(f"Eb/N0 {ebn0_db} dB is not a point of the spec's grid")
-    grid_index = spec.ebn0_points.index(ebn0_db)
-    errors = _run_point(spec, ebn0_db, grid_index)
-    n_bits = spec.replicas * spec.packet_bits
-    return _estimate(int(errors.sum()), n_bits, confidence)
+def run_ber_point(spec: PhyExperimentSpec, ebn0_db: float) -> EstimateWithCI:
+    """Bit error rate of one cell over all replica packets."""
+    errors = _run_point(spec, ebn0_db)
+    return _estimate(int(errors.sum()), spec.replicas * spec.packet_bits)
 
 
-def run_per_sweep(
-    spec: PhyExperimentSpec, confidence: float = 0.99
-) -> List[Tuple[float, EstimateWithCI]]:
-    """Packet error rate at every Eb/N0 point of the spec."""
-    out = []
-    for gi, ebn0 in enumerate(spec.ebn0_points):
-        errors = _run_point(spec, ebn0, gi)
-        failures = int(np.count_nonzero(errors))
-        out.append((ebn0, _estimate(failures, spec.replicas, confidence)))
-    return out
-
-
-def run_per_point(
-    spec: PhyExperimentSpec, ebn0_db: float, confidence: float = 0.99
-) -> EstimateWithCI:
-    sweep = run_per_sweep(replace(spec, ebn0_points=(ebn0_db,)), confidence)
-    return sweep[0][1]
+def run_per_point(spec: PhyExperimentSpec, ebn0_db: float) -> EstimateWithCI:
+    """Packet error rate of one cell."""
+    errors = _run_point(spec, ebn0_db)
+    return _estimate(int(np.count_nonzero(errors)), spec.replicas)
 
 
 def calibrate_link_table(
@@ -276,41 +265,26 @@ def calibrate_link_table(
     dt_axis: Sequence[float],
     br_axis: Sequence[float],
     ebn0_db: float = 12.0,
-    both_payload_cases: bool = True,
 ) -> LinkTable:
     """Fill a LinkTable with 1-PER estimates from the packet experiment.
 
-    The axes must be strictly increasing; every grid cell is simulated
-    with its own deterministic replica stream derived from spec.seed.
+    The axes must be non-empty, finite and strictly increasing, which is
+    checked before any cell runs. Each cell, for the same and for
+    different payloads, draws its own replica streams (see _chunk_rng).
     """
-    dp_axis = list(dp_axis)
-    dt_axis = list(dt_axis)
-    br_axis = list(br_axis)
-    if not dp_axis or not dt_axis or not br_axis:
-        raise ValueError("empty calibration grid")
-    cases = (True, False) if both_payload_cases else (True,)
-    shape = (len(dp_axis), len(dt_axis), len(br_axis))
-    tables = {(mode_name, same): np.zeros(shape) for same in cases}
-    gi = 0
-    for same in cases:
-        for i, dp in enumerate(dp_axis):
-            for j, dt in enumerate(dt_axis):
-                for k, br in enumerate(br_axis):
-                    cell = replace(
-                        spec,
-                        power_delta=dp,
-                        time_delta=dt,
-                        beat_ratio=br,
-                        same_data=same,
-                    )
-                    errors = _run_point(cell, ebn0_db, gi)
-                    per = np.count_nonzero(errors) / cell.replicas
-                    tables[(mode_name, same)][i, j, k] = 1.0 - per
-                    gi += 1
+    axes = [np.asarray(ax, dtype=float) for ax in (dp_axis, dt_axis, br_axis)]
+    check_axes(*axes)
+    tables = {}
+    for same in (True, False):
+        decoded = np.zeros(tuple(ax.size for ax in axes))
+        for idx in np.ndindex(decoded.shape):
+            dp, dt, br = (float(ax[i]) for ax, i in zip(axes, idx))
+            cell = replace(spec, power_delta=dp, time_delta=dt, beat_ratio=br, same_data=same)
+            errors = _run_point(cell, ebn0_db)
+            decoded[idx] = 1.0 - np.count_nonzero(errors) / cell.replicas
+        tables[(mode_name, same)] = decoded
     return LinkTable(
-        np.array(dp_axis),
-        np.array(dt_axis),
-        np.array(br_axis),
+        *axes,
         tables,
         provenance={
             "source": "monte-carlo-calibration",

@@ -52,9 +52,9 @@ def test_acceptance_02_crossover():
     in_band = 3.8 <= root_db <= 4.8
     sign_ok = True
     for db, below in ((2.0, True), (3.0, True), (6.0, False), (8.0, False)):
-        spec1 = PhyExperimentSpec(mod=MOD, packet_bits=128, ebn0_points=(db,),
+        spec1 = PhyExperimentSpec(mod=MOD, packet_bits=128,
                                   power_delta=None, replicas=800, seed=101)
-        spec2 = PhyExperimentSpec(mod=MOD, packet_bits=128, ebn0_points=(db,),
+        spec2 = PhyExperimentSpec(mod=MOD, packet_bits=128,
                                   power_delta=0.0, beat_ratio=1.0,
                                   replicas=800, seed=102)
         mc1 = run_ber_point(spec1, db).point
@@ -68,14 +68,14 @@ def test_acceptance_03_monte_carlo_vs_closed_form():
     ok = True
     for db in range(0, 13):
         x = 10 ** (db / 10)
-        spec1 = PhyExperimentSpec(mod=MOD, packet_bits=128, ebn0_points=(float(db),),
+        spec1 = PhyExperimentSpec(mod=MOD, packet_bits=128,
                                   power_delta=None, replicas=800, seed=201)
-        est1 = run_ber_point(spec1, float(db), confidence=0.99)
+        est1 = run_ber_point(spec1, float(db))
         ok &= est1.ci_low <= ber_bfsk(x) <= est1.ci_high
-        spec2 = PhyExperimentSpec(mod=MOD, packet_bits=128, ebn0_points=(float(db),),
+        spec2 = PhyExperimentSpec(mod=MOD, packet_bits=128,
                                   power_delta=0.0, time_delta=0.0, beat_ratio=1.0,
                                   same_data=True, replicas=800, seed=202)
-        est2 = run_ber_point(spec2, float(db), confidence=0.99)
+        est2 = run_ber_point(spec2, float(db))
         ok &= est2.ci_low <= ber_2ct_equal(x) <= est2.ci_high
     report(3, "Monte Carlo BER matches both closed forms across 0-12 dB", ok)
 
@@ -100,7 +100,7 @@ def test_acceptance_04_envelope():
 
 
 def test_acceptance_05_per_trends():
-    common = dict(mod=MOD, packet_bits=128, ebn0_points=(12.0,))
+    common = dict(mod=MOD, packet_bits=128)
     # (a) 1 dB of power margin lowers PER by at least two CI widths
     a0 = run_per_point(PhyExperimentSpec(power_delta=0.0, beat_ratio=0.1,
                                          replicas=150_000, seed=301, **common), 12.0)

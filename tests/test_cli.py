@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctflood import cli
+from ctflood import cli, montecarlo
 from ctflood.linkmodel import load_table
 from ctflood.models import ber_2ct_equal, ber_bfsk
 
@@ -95,29 +95,80 @@ def test_ber_sweep(tmp_path):
 
 def test_per_grid_and_determinism(tmp_path):
     args = ["per", "--out", str(tmp_path), "--seed", "3",
-            "--replicas", "300", "--delta-p", "0,1", "--delta-t", "0",
+            "--replicas", "20000", "--delta-p", "0,1", "--delta-t", "0",
             "--beat-ratio", "0.1"]
     assert cli.main(args) == 0
     first = (tmp_path / "per.csv").read_text()
     header, rows = read_csv(tmp_path / "per.csv")
     assert len(rows) == 2  # grid cardinality
-    per0 = float(rows[0]["per"])
-    per1 = float(rows[1]["per"])
-    assert per1 <= per0  # a 1 dB margin already helps
+    assert {r["seed"] for r in rows} == {"3"}
+    # a 1 dB margin already helps: one-sided two-proportion z-test at 0.1%
+    k0, k1 = (int(r["failures"]) for r in rows)
+    n0, n1 = (int(r["trials"]) for r in rows)
+    pooled = (k0 + k1) / (n0 + n1)
+    z = (k0 / n0 - k1 / n1) / math.sqrt(pooled * (1 - pooled) * (1 / n0 + 1 / n1))
+    assert z >= 3.09
     assert cli.main(args) == 0
     assert (tmp_path / "per.csv").read_text() == first
 
 
-def test_per_cell_streams_are_keyed_by_seed_and_cell(tmp_path):
-    # --seed 2 and --seed 3 share no cell's replica stream
-    seeds = []
-    for s in ("2", "3"):
-        out = tmp_path / s
-        assert cli.main(["per", "--out", str(out), "--seed", s, "--replicas", "100"]) == 0
-        _, rows = read_csv(out / "per.csv")
-        seeds.append({r["seed"] for r in rows})
-    assert len(seeds[0]) == len(seeds[1]) == 27
-    assert not seeds[0] & seeds[1]
+def test_per_cell_streams_are_keyed_by_seed_and_cell(tmp_path, monkeypatch):
+    # --seed 2 and --seed 3 share no replica stream key across the 27 default cells
+    keys = {"2": set(), "3": set()}
+    chunk_rng = montecarlo._chunk_rng
+
+    def recording(spec, ebn0_db, chunk):
+        rng = chunk_rng(spec, ebn0_db, chunk)
+        keys[str(spec.seed)].add(tuple(rng.bit_generator.seed_seq.entropy))
+        return rng
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", recording)
+    for s in keys:
+        assert cli.main(["per", "--out", str(tmp_path / s), "--seed", s,
+                         "--replicas", "100"]) == 0
+    assert len(keys["2"]) == len(keys["3"]) == 27
+    assert not keys["2"] & keys["3"]
+
+
+def test_ber_sub_sweep_reproduces_its_rows(tmp_path):
+    rows = {}
+    for start in ("0", "4"):
+        out = tmp_path / start
+        assert cli.main(["ber", "--out", str(out), "--seed", "5", "--start-db", start,
+                         "--stop-db", "8", "--step-db", "4", "--bits", "12800"]) == 0
+        _, got = read_csv(out / "ber.csv")
+        rows[start] = {r["ebn0_db"]: r for r in got}
+    assert list(rows["0"]) == ["0.0", "4.0", "8.0"]
+    assert list(rows["4"]) == ["4.0", "8.0"]
+    for db in ("4.0", "8.0"):
+        assert rows["4"][db] == rows["0"][db]
+
+
+def test_per_cell_alone_equals_its_row_in_a_grid(tmp_path):
+    common = ["--seed", "4", "--replicas", "300", "--ebn0-db", "10"]
+    assert cli.main(["per", "--out", str(tmp_path / "grid"), "--delta-p", "0,1",
+                     "--delta-t", "0,0.25", "--beat-ratio", "0.1,1"] + common) == 0
+    assert cli.main(["per", "--out", str(tmp_path / "alone"), "--delta-p", "1",
+                     "--delta-t", "0.25", "--beat-ratio", "0.1"] + common) == 0
+    _, grid = read_csv(tmp_path / "grid" / "per.csv")
+    _, alone = read_csv(tmp_path / "alone" / "per.csv")
+    assert len(grid) == 8 and len(alone) == 1
+    assert grid[6] == alone[0]
+    assert 0 < int(alone[0]["failures"]) < 300  # both outcomes occur
+
+
+def test_calibrate_cell_equals_per_cell(tmp_path):
+    # the same cell gives the same count through calibrate and through per
+    common = ["--seed", "6", "--replicas", "300", "--ebn0-db", "10",
+              "--delta-t", "0", "--beat-ratio", "1"]
+    assert cli.main(["calibrate", "--out", str(tmp_path), "--delta-p", "0,4"] + common) == 0
+    assert cli.main(["per", "--out", str(tmp_path), "--delta-p", "4",
+                     "--different-data"] + common) == 0
+    table = load_table(tmp_path / "link_table.csv")
+    _, rows = read_csv(tmp_path / "per.csv")
+    failures = int(rows[0]["failures"])
+    assert 0 < failures < 300
+    assert table.tables[("1M", False)][1, 0, 0] == 1.0 - failures / 300
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,6 +182,12 @@ def test_per_cell_streams_are_keyed_by_seed_and_cell(tmp_path):
     ["ber", "--step-db", "0"],
     ["ber", "--step-db", "nan"],
     ["ber", "--start-db", "14", "--stop-db", "0"],
+    ["ber", "--bits", "0"],
+    ["ber", "--bits=-5"],
+    ["per", "--delta-p", ""],
+    ["per", "--delta-t", ""],
+    ["per", "--beat-ratio", ""],
+    ["calibrate", "--delta-p", "8,0,2"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ctflood import montecarlo as mc
 from ctflood.linkmodel import dumps_table, loads_table
 from ctflood.models import ber_bfsk, per_from_ber
 from ctflood.montecarlo import (
     CHUNK_PACKETS,
     EstimateWithCI,
     PhyExperimentSpec,
+    _chunk_rng,
     _correlate,
     _estimate,
     _run_point,
@@ -19,7 +22,6 @@ from ctflood.montecarlo import (
     calibrate_link_table,
     run_ber_point,
     run_per_point,
-    run_per_sweep,
     wilson_ci,
 )
 from ctflood.phy import ModulationParams, TransmitterSpec, add_awgn, modulate, superpose
@@ -80,25 +82,19 @@ def test_spec_validation():
     PhyExperimentSpec(mod=MOD, packet_bits=8, time_delta=8.0)
 
 
-def test_off_grid_ber_point_is_rejected():
-    spec = PhyExperimentSpec(mod=MOD, ebn0_points=(0.0, 1.0), replicas=100)
-    with pytest.raises(ValueError):
-        run_ber_point(spec, 0.001)
-
-
 def test_determinism_and_parallel_split():
     spec = PhyExperimentSpec(
-        mod=MOD, packet_bits=64, ebn0_points=(8.0,), power_delta=0.0,
+        mod=MOD, packet_bits=64, power_delta=0.0,
         beat_ratio=0.5, replicas=2 * CHUNK_PACKETS + 500, seed=13,
     )
-    a = _run_point(spec, 8.0, 0)
-    b = _run_point(spec, 8.0, 0)
+    a = _run_point(spec, 8.0)
+    b = _run_point(spec, 8.0)
     np.testing.assert_array_equal(a, b)
     # chunk-keyed RNG: computing chunks out of order reproduces the pool
     chunks = []
     sizes = [CHUNK_PACKETS, CHUNK_PACKETS, 500]
     for idx in (2, 0, 1):
-        rng = np.random.default_rng([spec.seed, 0, idx])
+        rng = _chunk_rng(spec, 8.0, idx)
         chunks.append((idx, _simulate_chunk(spec, 8.0, sizes[idx], rng)))
     merged = np.concatenate([c for _, c in sorted(chunks)])
     np.testing.assert_array_equal(a, merged)
@@ -106,10 +102,11 @@ def test_determinism_and_parallel_split():
 
 def test_single_tx_per_matches_independent_bits():
     spec = PhyExperimentSpec(
-        mod=MOD, packet_bits=128, ebn0_points=(8.0, 10.0), power_delta=None,
+        mod=MOD, packet_bits=128, power_delta=None,
         replicas=3000, seed=17,
     )
-    for ebn0, est in run_per_sweep(spec, confidence=0.99):
+    for ebn0 in (8.0, 10.0):
+        est = run_per_point(spec, ebn0)
         want = per_from_ber(ber_bfsk(10 ** (ebn0 / 10)), 128)
         assert est.ci_low <= want <= est.ci_high
 
@@ -118,7 +115,7 @@ def test_per_nonincreasing_in_power_delta():
     ests = []
     for dp in (0.0, 2.0, 6.0):
         spec = PhyExperimentSpec(
-            mod=MOD, packet_bits=128, ebn0_points=(12.0,), power_delta=dp,
+            mod=MOD, packet_bits=128, power_delta=dp,
             beat_ratio=0.25, replicas=4000, seed=19,
         )
         ests.append(run_per_point(spec, 12.0))
@@ -128,8 +125,7 @@ def test_per_nonincreasing_in_power_delta():
 
 def test_different_data_equivalence_beyond_one_symbol():
     # a full-symbol offset of the same payload behaves like independent bits
-    common = dict(mod=MOD, packet_bits=128, ebn0_points=(10.0,),
-                  power_delta=0.0, beat_ratio=0.5, replicas=3000)
+    common = dict(mod=MOD, packet_bits=128, power_delta=0.0, beat_ratio=0.5, replicas=3000)
     shifted = PhyExperimentSpec(time_delta=1.0, same_data=True, seed=23, **common)
     independent = PhyExperimentSpec(time_delta=1.0, same_data=False, seed=29, **common)
     a = run_ber_point(shifted, 10.0)
@@ -138,16 +134,13 @@ def test_different_data_equivalence_beyond_one_symbol():
 
 
 def test_calibrate_clean_single_link():
-    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, ebn0_points=(20.0,),
-                             replicas=200, seed=31)
-    table = calibrate_link_table(spec, "1M", [20.0], [0.0], [0.05],
-                                 ebn0_db=20.0, both_payload_cases=False)
+    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, replicas=200, seed=31)
+    table = calibrate_link_table(spec, "1M", [20.0], [0.0], [0.05], ebn0_db=20.0)
     assert table.tables[("1M", True)][0, 0, 0] >= 0.99
 
 
 def test_calibrate_deterministic_and_roundtrips():
-    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, ebn0_points=(10.0,),
-                             replicas=150, seed=37)
+    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, replicas=150, seed=37)
     t1 = calibrate_link_table(spec, "1M", [0.0, 4.0], [0.0], [0.2, 1.0])
     t2 = calibrate_link_table(spec, "1M", [0.0, 4.0], [0.0], [0.2, 1.0])
     for key in t1.tables:
@@ -162,12 +155,63 @@ def test_calibrate_deterministic_and_roundtrips():
 
 def test_calibrate_slow_vs_fast_ordering():
     # slow beating outperforms fast beating for the uncoded mode
-    spec = PhyExperimentSpec(mod=MOD, packet_bits=128, ebn0_points=(12.0,),
-                             replicas=1500, seed=41)
-    table = calibrate_link_table(spec, "1M", [0.0], [0.0], [0.1, 3.6],
-                                 both_payload_cases=False)
+    spec = PhyExperimentSpec(mod=MOD, packet_bits=128, replicas=1500, seed=41)
+    table = calibrate_link_table(spec, "1M", [0.0], [0.0], [0.1, 3.6])
     grid = table.tables[("1M", True)]
     assert grid[0, 0, 0] > grid[0, 0, 1]
+
+
+def _key(spec, ebn0_db, chunk=0):
+    return tuple(_chunk_rng(spec, ebn0_db, chunk).bit_generator.seed_seq.entropy)
+
+
+def test_stream_key_is_the_cell():
+    spec = PhyExperimentSpec(mod=MOD, power_delta=0.0, time_delta=0.0, seed=7)
+    # -0.0 and 0.0 are one cell, in every coordinate
+    assert _key(spec, -0.0) == _key(spec, 0.0)
+    negative = PhyExperimentSpec(mod=MOD, power_delta=-0.0, time_delta=-0.0, seed=7)
+    assert _key(negative, 12.0) == _key(spec, 12.0)
+    # a lone transmitter is not a second one at 0 dB
+    assert _key(replace(spec, power_delta=None), 12.0) != _key(spec, 12.0)
+    # every coordinate, the seed and the chunk are part of the key
+    others = [replace(spec, seed=8), replace(spec, power_delta=1.0),
+              replace(spec, time_delta=0.5), replace(spec, beat_ratio=1.0),
+              replace(spec, same_data=False)]
+    keys = {_key(spec, 12.0), _key(spec, 13.0), _key(spec, 12.0, chunk=1)}
+    keys |= {_key(s, 12.0) for s in others}
+    assert len(keys) == 8
+
+
+def test_cell_counts_do_not_depend_on_the_grid():
+    # a different-data calibration cell, alone and in two grids; on a grid
+    # index it would move when --delta-p gains a value
+    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, beat_ratio=1.0, replicas=300, seed=43)
+    alone = _run_point(replace(spec, power_delta=4.0, same_data=False), 10.0)
+    table = calibrate_link_table(spec, "1M", [0.0, 4.0, 8.0], [0.0], [1.0], ebn0_db=10.0)
+    grown = calibrate_link_table(spec, "1M", [0.0, 2.0, 4.0, 8.0], [0.0], [1.0],
+                                 ebn0_db=10.0)
+    got = table.tables[("1M", False)][:, 0, 0]
+    np.testing.assert_array_equal(grown.tables[("1M", False)][[0, 2, 3], 0, 0], got)
+    np.testing.assert_array_equal(table.tables[("1M", True)][:, 0, 0],
+                                  grown.tables[("1M", True)][[0, 2, 3], 0, 0])
+    assert got[1] == 1.0 - np.count_nonzero(alone) / spec.replicas
+    assert 0.0 < got[1] < 1.0  # both outcomes occur, so another stream would show
+
+
+@pytest.mark.parametrize("axes", [
+    ([0.0, 8.0, 2.0], [0.0], [1.0]),
+    ([0.0], [], [1.0]),
+    ([0.0], [0.0], [0.1, math.inf]),
+    ([math.nan], [0.0], [1.0]),
+    ([0.0, 0.0], [0.0], [1.0]),
+])
+def test_calibrate_rejects_bad_axes_before_any_cell(monkeypatch, axes):
+    calls = []
+    monkeypatch.setattr(mc, "_run_point", lambda *a: calls.append(a))
+    spec = PhyExperimentSpec(mod=MOD, replicas=100)
+    with pytest.raises(ValueError):
+        calibrate_link_table(spec, "1M", *axes)
+    assert calls == []
 
 
 def _waveform_energies(spec, bits1, bits2, phase1, phase2):
@@ -225,11 +269,10 @@ def test_kernel_energies_match_waveform_path(h, sps, L, power_delta, offset_frac
 def test_kernel_ber_matches_waveform_path_at_non_unit_index():
     # h = 0.6: the two branches' noise is correlated, not independent
     mod = ModulationParams(symbol_period=1e-6, freq_deviation=0.3e6)
-    spec = PhyExperimentSpec(mod=mod, packet_bits=128, ebn0_points=(6.0,),
-                             power_delta=None, replicas=2000, seed=61)
+    spec = PhyExperimentSpec(mod=mod, packet_bits=128, power_delta=None, replicas=2000, seed=61)
     kernel = run_ber_point(spec, 6.0)
     n_bits = 40_000
     bits = np.random.default_rng(67).integers(0, 2, n_bits)
     stream = add_awgn(modulate(bits, mod, TransmitterSpec(phase=0.7)), 6.0, mod, seed=71)
     errors = count_bit_errors(bits, demodulate(stream, ReceiverConfig(mod), n_bits))
-    assert kernel.overlaps(_estimate(errors, n_bits, 0.99))
+    assert kernel.overlaps(_estimate(errors, n_bits))

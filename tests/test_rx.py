@@ -48,10 +48,10 @@ def test_count_bit_errors():
 
 def test_single_tx_ber_matches_closed_form_at_10db():
     spec = PhyExperimentSpec(
-        mod=MOD, packet_bits=128, ebn0_points=(10.0,), power_delta=None,
+        mod=MOD, packet_bits=128, power_delta=None,
         replicas=800, seed=7,
     )
-    est = run_ber_point(spec, 10.0, confidence=0.99)
+    est = run_ber_point(spec, 10.0)
     want = ber_bfsk(10.0)
     assert est.ci_low <= want <= est.ci_high
 
@@ -60,7 +60,7 @@ def test_ber_monotone_in_snr():
     # measured BER at x dB exceeds measured BER at x+3 dB, 1e5 bits each
     points = (0.0, 3.0, 6.0, 9.0, 12.0)
     spec = PhyExperimentSpec(
-        mod=MOD, packet_bits=128, ebn0_points=points, power_delta=None,
+        mod=MOD, packet_bits=128, power_delta=None,
         replicas=800, seed=11,
     )
     bers = [run_ber_point(spec, x).point for x in points]
