@@ -31,7 +31,6 @@ from .montecarlo import (
     wilson_ci,
 )
 from .linkmodel import (
-    LinkQuery,
     LinkTable,
     classify_beating,
     paper_default_table,

@@ -95,18 +95,10 @@ def air_time(mode: PhyMode, pdu_len: int, strict: bool = False) -> float:
     return symbols_on_air(mode, pdu_len, strict) / mode.symbol_rate
 
 
-def slot_length(
-    mode: PhyMode,
-    pdu_len: int,
-    guard: float = DEFAULT_GUARD,
-    processing_overhead: float = None,
-    strict: bool = False,
-) -> float:
+def slot_length(mode: PhyMode, pdu_len: int, strict: bool = False) -> float:
     """Full scheduled slot: air time + radio setup + guard + padding."""
-    if guard < 0:
-        raise ValueError("guard must be non-negative")
-    padding = SLOT_PADDING[mode.name] if processing_overhead is None else processing_overhead
-    return air_time(mode, pdu_len, strict) + RADIO_SETUP[mode.name] + guard + padding
+    return (air_time(mode, pdu_len, strict) + RADIO_SETUP[mode.name] + DEFAULT_GUARD
+            + SLOT_PADDING[mode.name])
 
 
 @dataclass(frozen=True)

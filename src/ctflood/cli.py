@@ -24,6 +24,9 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 MODE_CHOICES = ["2m", "1m", "500k", "125k", "802154"]
+# The Monte Carlo kernel simulates uncoded BFSK, whose table coordinates are
+# in bit periods and so do not depend on the bit rate: 1M and 2M share one table.
+CALIBRATE_MODES = ["1m", "2m"]
 
 
 def _tool_version() -> str:
@@ -112,8 +115,7 @@ def cmd_ber(args) -> int:
 
 def cmd_per(args) -> int:
     _resolve_seed(args)
-    if not (args.delta_p and args.delta_t and args.beat_ratio):
-        raise ValueError("--delta-p, --delta-t and --beat-ratio must not be empty")
+    linkmodel.check_axes(args.delta_p, args.delta_t, args.beat_ratio)
     mod = _default_mod()
     rows = []
     for dp, dt, br in itertools.product(args.delta_p, args.delta_t, args.beat_ratio):
@@ -170,7 +172,6 @@ def cmd_flood(args) -> int:
         diameter=args.diameter,
         round_period=args.period,
         hop_sequence=tuple(args.channels),
-        channel_count=len(args.channels),
     )
     cfg = mesh.SimConfig(
         topology=topo, policy=policy, table=table,
@@ -180,8 +181,14 @@ def cmd_flood(args) -> int:
     )
     summary, log = mesh.run(cfg)
     manifest = _manifest_lines(args, "flood")
-    mesh.write_round_log(_open_out(args, "flood_rounds.csv"), log, manifest)
-    print(_open_out(args, "flood_rounds.csv"))
+    listeners = sorted(log[0].first_slot)
+    _write_csv(
+        _open_out(args, "flood_rounds.csv"),
+        ["round", "success", "active_slots"] + [f"first_slot_{v}" for v in listeners],
+        [[m.round_no, int(m.success), m.active_slots]
+         + [m.first_slot[v] or "" for v in listeners] for m in log],
+        manifest,
+    )
     _write_csv(
         _open_out(args, "flood_summary.csv"),
         ["rounds", "end_to_end_per", "avg_hop", "avg_latency_ms",
@@ -318,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="Monte Carlo link table generation")
     common(sp)
-    sp.add_argument("--mode", choices=MODE_CHOICES, default="1m")
+    sp.add_argument("--mode", choices=CALIBRATE_MODES, default="1m",
+                    help="table label; the simulation is uncoded BFSK, whose "
+                         "table is the same for 1m and 2m, so coded modes and "
+                         "802.15.4 cannot be calibrated")
     sp.add_argument("--ebn0-db", type=float, default=12.0)
     sp.add_argument("--delta-p", type=_float_list, default=[0.0, 2.0, 8.0])
     sp.add_argument("--delta-t", type=_float_list, default=[0.0, 0.5])

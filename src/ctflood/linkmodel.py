@@ -15,36 +15,19 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .airtime import PhyMode
 
-
-@dataclass(frozen=True)
-class LinkQuery:
-    """Conditions of one concurrent reception attempt."""
-
-    mode: PhyMode
-    same_data: bool
-    delta_p: float  # dB, received-power difference of the two strongest
-    delta_t: float  # seconds
-    t_packet: float  # seconds
-    t_beat: float  # seconds; inf means no beating
-
-    def __post_init__(self):
-        if not (self.t_packet > 0 and self.t_beat > 0):
-            raise ValueError("t_packet and t_beat must be positive")
-        if math.isnan(self.delta_p) or math.isnan(self.delta_t):
-            raise ValueError("delta_p and delta_t must not be NaN")
-
-
-def check_axes(*axes: np.ndarray) -> None:
-    """Raise ValueError unless every axis is non-empty, finite and strictly increasing."""
-    for ax in axes:
-        if ax.size == 0 or not np.all(np.isfinite(ax)) or np.any(np.diff(ax) <= 0):
-            raise ValueError("axes must be non-empty, finite and strictly increasing")
+def check_axes(*axes: Sequence[float]) -> None:
+    """Raise ValueError unless every axis is non-empty, finite, non-negative
+    and strictly increasing."""
+    for ax in map(np.asarray, axes):
+        if (ax.size == 0 or not np.all(np.isfinite(ax)) or ax[0] < 0
+                or np.any(np.diff(ax) <= 0)):
+            raise ValueError(
+                "axes must be non-empty, finite, non-negative and strictly increasing")
 
 
 @dataclass
@@ -69,8 +52,8 @@ class LinkTable:
             grid = np.asarray(grid, dtype=float)
             if grid.shape != shape:
                 raise ValueError(f"tensor shape mismatch for {key}")
-            if np.any(grid < 0) or np.any(grid > 1):
-                raise ValueError("probabilities must lie in [0, 1]")
+            if not np.all((grid >= 0) & (grid <= 1)):
+                raise ValueError("probabilities must lie in [0, 1] and not be NaN")
             self.tables[key] = grid
 
 
@@ -86,15 +69,21 @@ def _interp_weights(axis: np.ndarray, value: float):
     return lo, hi, float(w)
 
 
-def reception_probability(table: LinkTable, q: LinkQuery) -> float:
-    """Trilinear interpolation of the decode probability for a query."""
-    key = (q.mode.name, q.same_data)
+def reception_probability(table: LinkTable, key: Tuple[str, bool], delta_p: float,
+                          dt_frac: float, beat_ratio: float) -> float:
+    """Trilinear interpolation of the decode probability at table coordinates.
+
+    key is (mode name, same payload); delta_p is the power difference of the
+    two strongest arrivals in dB, dt_frac their time offset as a fraction of
+    the mode's bit period, and beat_ratio the packet air time over the beat
+    period (0 for no beating).
+    """
     if key not in table.tables:
         raise ValueError(f"table has no entry for {key}")
+    if math.isnan(delta_p) or math.isnan(dt_frac) or math.isnan(beat_ratio):
+        raise ValueError("delta_p, dt_frac and beat_ratio must not be NaN")
     grid = table.tables[key]
-    dt_frac = q.delta_t / q.mode.bit_period
-    beat_ratio = 0.0 if math.isinf(q.t_beat) else q.t_packet / q.t_beat
-    ilo, ihi, wi = _interp_weights(table.dp_axis, q.delta_p)
+    ilo, ihi, wi = _interp_weights(table.dp_axis, delta_p)
     jlo, jhi, wj = _interp_weights(table.dt_axis, dt_frac)
     klo, khi, wk = _interp_weights(table.br_axis, beat_ratio)
     total = 0.0
@@ -208,8 +197,7 @@ def _base_curve(anchors, br_axis: np.ndarray) -> np.ndarray:
     return np.interp(np.log10(br_axis), xs, ys)
 
 
-def paper_default_table(p_802154_same: float = P_802154_SAME,
-                        p_802154_diff: float = P_802154_DIFF) -> LinkTable:
+def paper_default_table() -> LinkTable:
     """The built-in measurement-derived table for all five radio modes."""
     tables = {}
     for mode, anchors in _BASE_SAME.items():
@@ -224,8 +212,8 @@ def paper_default_table(p_802154_same: float = P_802154_SAME,
         diff = ramp[:, None] * tf_diff  # (dp, dt)
         tables[(mode, False)] = np.repeat(diff[:, :, None], BR_AXIS.size, axis=2)
 
-    tables[("802154", True)] = np.full((6, 4, BR_AXIS.size), p_802154_same)
-    tables[("802154", False)] = np.full((6, 4, BR_AXIS.size), p_802154_diff)
+    tables[("802154", True)] = np.full((6, 4, BR_AXIS.size), P_802154_SAME)
+    tables[("802154", False)] = np.full((6, 4, BR_AXIS.size), P_802154_DIFF)
     return LinkTable(
         DP_AXIS.copy(), DT_AXIS.copy(), BR_AXIS.copy(), tables,
         provenance={"source": "builtin-default"},
@@ -276,7 +264,12 @@ def loads_table(text: str) -> LinkTable:
             header_seen = True
             continue
         mode, same, dp, dt, br, p = line.split(",")
-        rows.append((mode, bool(int(same)), float(dp), float(dt), float(br), float(p)))
+        if same not in ("0", "1"):
+            raise ValueError(f"same_data must be 0 or 1, not {same!r}")
+        prob = float(p)
+        if math.isnan(prob):
+            raise ValueError(f"NaN probability in row {line!r}")
+        rows.append((mode, same == "1", float(dp), float(dt), float(br), prob))
     if not rows:
         raise ValueError("empty link table file")
     dp_axis = np.array(sorted({r[2] for r in rows}))
@@ -288,10 +281,11 @@ def loads_table(text: str) -> LinkTable:
         key = (mode, same)
         if key not in tables:
             tables[key] = np.full(shape, np.nan)
-        i = int(np.searchsorted(dp_axis, dp))
-        j = int(np.searchsorted(dt_axis, dt))
-        k = int(np.searchsorted(br_axis, br))
-        tables[key][i, j, k] = p
+        cell = (int(np.searchsorted(dp_axis, dp)), int(np.searchsorted(dt_axis, dt)),
+                int(np.searchsorted(br_axis, br)))
+        if not math.isnan(tables[key][cell]):
+            raise ValueError(f"duplicate row for {key} at {(dp, dt, br)}")
+        tables[key][cell] = p
     for key, grid in tables.items():
         if np.any(np.isnan(grid)):
             raise ValueError(f"incomplete grid for {key}")

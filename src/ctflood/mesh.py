@@ -15,43 +15,44 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import node as nd
 from .airtime import DEFAULT_GUARD, PhyMode, air_time, get_mode, slot_length
-from .linkmodel import LinkQuery, LinkTable, reception_probability
+from .linkmodel import LinkTable, reception_probability
 from .models import jitter_sigma
 
 NEG_INF = float("-inf")
 F_CLOCK = 16e6  # Hz, slot timer clock of every node
+JITTER_STD = jitter_sigma(F_CLOCK)  # seconds, per-hop timing jitter of every node
 
 
 @dataclass
 class Topology:
-    """Directed link gains in dB (-inf = no link) plus per-node radio traits."""
+    """Directed link gains in dB (-inf = no link) plus per-node carrier offsets."""
 
-    n_nodes: int
     gains: np.ndarray  # (n, n) dB
     cfo: np.ndarray  # (n,) Hz
-    jitter_std: np.ndarray  # (n,) seconds
     initiator: int = 0
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=float)
         self.cfo = np.asarray(self.cfo, dtype=float)
-        self.jitter_std = np.asarray(self.jitter_std, dtype=float)
-        n = self.n_nodes
-        if self.gains.shape != (n, n) or self.cfo.shape != (n,) or self.jitter_std.shape != (n,):
+        if self.cfo.ndim != 1 or self.gains.shape != (self.n_nodes,) * 2:
             raise ValueError("topology arrays do not match node count")
-        if not 0 <= self.initiator < n:
+        if not 0 <= self.initiator < self.n_nodes:
             raise ValueError("initiator out of range")
         if np.any(np.isnan(self.gains) | np.isposinf(self.gains)):
             raise ValueError("gains must be finite or -inf")
         if not np.all(np.isfinite(self.cfo)):
             raise ValueError("cfo must be finite")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.cfo)
 
     @classmethod
     def build(
@@ -70,8 +71,7 @@ class Topology:
             gains[src, dst] = g
             if symmetric:
                 gains[dst, src] = g
-        jitter = np.full(n_nodes, jitter_sigma(F_CLOCK))
-        return cls(n_nodes, gains, cfo, jitter, initiator)
+        return cls(gains, cfo, initiator)
 
     def hop_distances(self) -> np.ndarray:
         """Unweighted shortest-path distance from the initiator (BFS)."""
@@ -161,19 +161,16 @@ def resolve_slot(
         return False
     arrivals.sort(reverse=True)
     table = cfg.table
-    t_packet = cfg.air_time
+    key = (cfg.mode.name, True)
     if len(arrivals) == 1:
-        # a lone transmitter behaves like an infinitely strong capture
-        q = LinkQuery(cfg.mode, True, delta_p=float(table.dp_axis[-1]),
-                      delta_t=0.0, t_packet=t_packet, t_beat=math.inf)
+        # a lone transmitter behaves like the strongest capture, aligned, no beat
+        p = reception_probability(table, key, float(table.dp_axis[-1]), 0.0, 0.0)
     else:
         (p1, t1), (p2, t2) = arrivals[0], arrivals[1]
-        dcfo = abs(topology.cfo[t1] - topology.cfo[t2])
-        t_beat = math.inf if dcfo == 0 else 1.0 / dcfo
-        q = LinkQuery(cfg.mode, True, delta_p=p1 - p2,
-                      delta_t=abs(jitter[t1] - jitter[t2]),
-                      t_packet=t_packet, t_beat=t_beat)
-    p = reception_probability(table, q)
+        p = reception_probability(
+            table, key, p1 - p2,
+            abs(jitter[t1] - jitter[t2]) / cfg.mode.bit_period,
+            cfg.air_time * abs(topology.cfo[t1] - topology.cfo[t2]))
     return bool(rng.random() < p)
 
 
@@ -184,13 +181,12 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
     rounds in a row scans until it hears a beacon again.
     """
     topo = cfg.topology
+    policy = cfg.policy
     n = topo.n_nodes
     init = topo.initiator
     rng = np.random.default_rng(cfg.seed)
-    relay_policy = replace(cfg.policy, is_initiator=False)
-    policies = [relay_policy] * n
-    policies[init] = replace(cfg.policy, is_initiator=True)
     states = [nd.NodeState()] * n
+    states[init] = nd.NodeState(is_initiator=True)
 
     rounds_log: List[RoundMetrics] = []
     hop_depth = np.zeros(n, dtype=int)  # drives accumulated jitter variance
@@ -201,14 +197,14 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
         first_slot: Dict[int, Optional[int]] = {v: None for v in range(n) if v != init}
         active = 0
 
-        for s in range(relay_policy.slots_per_round):
-            actions = [nd.next_action(states[v], policies[v], s) for v in range(n)]
+        for s in range(policy.slots_per_round):
+            actions = [nd.next_action(states[v], policy, s) for v in range(n)]
             txers = [v for v, (kind, _c) in enumerate(actions) if kind == nd.ACT_TX]
             active += sum(1 for kind, _c in actions if kind != nd.ACT_SLEEP)
 
             # fresh per-slot timing jitter, widening with hop depth (the
             # initiator's depth stays 0)
-            jitter = rng.normal(0.0, 1.0, n) * topo.jitter_std * np.sqrt(hop_depth)
+            jitter = rng.normal(0.0, 1.0, n) * JITTER_STD * np.sqrt(hop_depth)
 
             for v, (kind, chan) in enumerate(actions):
                 if kind != nd.ACT_RX:
@@ -217,7 +213,7 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
                 if not on_channel:
                     continue
                 if resolve_slot(v, on_channel, topo, cfg, jitter, rng):
-                    states[v] = nd.handle_reception(states[v], r, s, policies[v])
+                    states[v] = nd.handle_reception(states[v], r, policy)
                     if first_slot[v] is None:
                         first_slot[v] = s + 1
                         hop_depth[v] = s + 1
@@ -227,8 +223,8 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
 
         for v in range(n):
             if states[v].phase == nd.PHASE_SCANNING:
-                states[v] = nd.scan_step(states[v], policies[v], rng)
-            states[v] = nd.round_end(states[v], policies[v])
+                states[v] = nd.scan_step(states[v], policy, rng)
+            states[v] = nd.round_end(states[v], policy)
 
         success = all(fs is not None for fs in first_slot.values())
         rounds_log.append(RoundMetrics(r, first_slot, success, active))
@@ -314,16 +310,3 @@ def load_topology(edge_path, node_path) -> Topology:
             edges.append((int(row["src"]), int(row["dst"]), float(row["gain_db"])))
     return Topology.build(edges, len(ids), cfo=[c for _, c, _ in nodes],
                           initiator=initiators[0], symmetric=False)
-
-
-def write_round_log(path, rounds_log: Sequence[RoundMetrics], header_lines=()):
-    listeners = sorted(rounds_log[0].first_slot)
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["round", "success", "active_slots"]
-                   + [f"first_slot_{v}" for v in listeners])
-        for m in rounds_log:
-            w.writerow([m.round_no, int(m.success), m.active_slots]
-                       + [m.first_slot[v] if m.first_slot[v] else "" for v in listeners])

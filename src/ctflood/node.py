@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Tuple
 
 PHASE_SCANNING = "scanning"
 PHASE_SYNCED = "synced"
-PHASE_SLEEPING = "sleeping"
 
 ACT_TX = "transmit"
 ACT_RX = "listen"
@@ -28,24 +27,27 @@ ACT_SLEEP = "sleep"
 
 @dataclass(frozen=True)
 class NodePolicy:
-    """Protocol parameters shared by all nodes of a deployment."""
+    """Protocol parameters shared by all nodes of a deployment.
+
+    channel_count is len(hop_sequence); passing any other value is an error.
+    """
 
     n_tx: int = 3
     diameter: int = 5
     wait_slots: Optional[int] = None
-    is_initiator: bool = False
     resync_threshold: int = 4
-    channel_count: int = 3
+    channel_count: Optional[int] = None
     round_period: float = 0.2
     hop_sequence: Tuple[int, ...] = (37, 38, 39)
 
     def __post_init__(self):
         if self.n_tx < 1 or self.diameter < 0:
             raise ValueError("n_tx must be >= 1 and diameter >= 0")
-        if self.channel_count > 40 or self.channel_count < 1:
-            raise ValueError("channel_count must be in [1, 40]")
         if not self.hop_sequence:
             raise ValueError("hop_sequence must be non-empty")
+        if self.channel_count not in (None, len(self.hop_sequence)):
+            raise ValueError("channel_count must equal len(hop_sequence)")
+        object.__setattr__(self, "channel_count", len(self.hop_sequence))
         if not all(0 <= c <= 39 for c in self.hop_sequence):
             raise ValueError("hop channels must lie in 0-39")
         if not 0 < self.round_period < math.inf:
@@ -64,12 +66,15 @@ class NodePolicy:
 
 @dataclass(frozen=True)
 class NodeState:
+    """One node's protocol state; the initiator originates every round's
+    beacon and never falls back to scanning."""
+
     phase: str = PHASE_SYNCED
+    is_initiator: bool = False
     round: int = 0
     pending_tx: int = 0
     missed_rounds: int = 0
     received_this_round: bool = False
-    rx_slot: Optional[int] = None
     scan_channel: int = 37
     scan_periods_left: int = 0
 
@@ -90,10 +95,8 @@ def next_action(state: NodeState, policy: NodePolicy, slot: int):
     """
     if state.phase == PHASE_SCANNING:
         return ACT_RX, state.scan_channel
-    if state.phase == PHASE_SLEEPING:
-        return ACT_SLEEP, None
     ch = channel_for(state.round, slot, policy.hop_sequence, policy.slots_per_round)
-    if policy.is_initiator:
+    if state.is_initiator:
         if slot < policy.wait_slots:
             return ACT_TX, ch
         return ACT_SLEEP, None
@@ -111,9 +114,11 @@ def after_transmit(state: NodeState) -> NodeState:
     return replace(state, pending_tx=state.pending_tx - 1)
 
 
-def handle_reception(state: NodeState, round_no: int, slot: int,
-                     policy: NodePolicy) -> NodeState:
-    """Adopt the (round, slot) counters of a received beacon."""
+def handle_reception(state: NodeState, round_no: int, policy: NodePolicy) -> NodeState:
+    """Adopt the round counter of a received beacon and schedule n_tx relays.
+
+    The slot counter needs no state: the caller passes it to next_action.
+    """
     if state.received_this_round:
         # duplicate within the round: no extra retransmissions
         return state
@@ -124,7 +129,6 @@ def handle_reception(state: NodeState, round_no: int, slot: int,
         pending_tx=policy.n_tx,
         missed_rounds=0,
         received_this_round=True,
-        rx_slot=slot,
     )
 
 
@@ -144,13 +148,12 @@ def start_round(state: NodeState, round_no: int) -> NodeState:
     """Reset per-round flags at the round boundary."""
     if state.phase == PHASE_SCANNING:
         return state
-    return replace(state, phase=PHASE_SYNCED, round=round_no,
-                   pending_tx=0, received_this_round=False, rx_slot=None)
+    return replace(state, round=round_no, pending_tx=0, received_this_round=False)
 
 
 def round_end(state: NodeState, policy: NodePolicy) -> NodeState:
     """Count silent rounds; fall back to scanning at the threshold."""
-    if policy.is_initiator or state.phase == PHASE_SCANNING:
+    if state.is_initiator or state.phase == PHASE_SCANNING:
         return state
     if state.received_this_round:
         return replace(state, missed_rounds=0)

@@ -254,16 +254,12 @@ def test_acceptance_09_protocol_invariants():
     for _ in range(cases):
         n_tx = int(rng.integers(1, 5))
         diameter = int(rng.integers(0, 4))
-        c = int(rng.integers(1, 6))
         r_thresh = int(rng.integers(1, 5))
         seq = tuple(int(x) for x in rng.choice([37, 38, 39], size=rng.integers(1, 4)))
-        pol = NodePolicy(n_tx=n_tx, diameter=diameter, channel_count=c,
+        pol = NodePolicy(n_tx=n_tx, diameter=diameter,
                          resync_threshold=r_thresh, hop_sequence=seq)
-        pol_init = NodePolicy(n_tx=n_tx, diameter=diameter, channel_count=c,
-                              resync_threshold=r_thresh, hop_sequence=seq,
-                              is_initiator=True)
         state = nd.NodeState()
-        peer = nd.NodeState()
+        peer = nd.NodeState(is_initiator=True)
         silent_rounds = int(rng.integers(0, r_thresh + 2))
         for rnd in range(silent_rounds + 1):
             state = nd.start_round(state, rnd)
@@ -288,9 +284,9 @@ def test_acceptance_09_protocol_invariants():
                         first_tx = s
                     state = nd.after_transmit(state)
                 elif kind == nd.ACT_RX and hear and s == rx_slot:
-                    state = nd.handle_reception(state, rnd, s, pol)
+                    state = nd.handle_reception(state, rnd, pol)
                     first_rx = s
-                kb, _ = nd.next_action(peer, pol_init, s)
+                kb, _ = nd.next_action(peer, pol, s)
                 if kb == nd.ACT_TX:
                     peer = nd.after_transmit(peer)
             # causality: transmissions strictly follow the reception
@@ -307,7 +303,9 @@ def test_acceptance_09_protocol_invariants():
         if probe.phase != nd.PHASE_SCANNING:
             violations += 1
         if probe.phase == nd.PHASE_SCANNING:
-            # scan dwell: exactly 2C periods on one channel before rehopping
+            # scan dwell: exactly 2C periods on one channel before rehopping,
+            # C the number of hop channels
+            c = len(seq)
             dwell = 0
             chan = probe.scan_channel
             for _p in range(2 * c):

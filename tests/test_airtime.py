@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ctflood.airtime import (
     BeaconFrame,
-    DEFAULT_GUARD,
     MODES,
     air_time,
     decode_beacon,
@@ -60,15 +59,6 @@ def test_strict_coded_arithmetic():
 def test_slot_length_anchors(mode, slot_ms):
     got = slot_length(get_mode(mode), PDU) * 1e3
     assert got == pytest.approx(slot_ms, abs=1e-3)  # within one microsecond
-
-
-def test_slot_length_knobs():
-    m = get_mode("2M")
-    base = slot_length(m, PDU)
-    assert slot_length(m, PDU, guard=DEFAULT_GUARD + 10e-6) == pytest.approx(base + 10e-6)
-    assert slot_length(m, PDU, processing_overhead=0.0) == pytest.approx(base - 11.6e-6)
-    with pytest.raises(ValueError):
-        slot_length(m, PDU, guard=-1e-6)
 
 
 def test_symbols_affine_and_increasing():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctflood import cli, montecarlo
+from ctflood import cli, linkmodel, montecarlo
 from ctflood.linkmodel import load_table
 from ctflood.models import ber_2ct_equal, ber_bfsk
 
@@ -188,29 +188,37 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["per", "--delta-t", ""],
     ["per", "--beat-ratio", ""],
     ["calibrate", "--delta-p", "8,0,2"],
+    ["per", "--delta-p", "4,4"],
+    ["per", "--delta-t", "0.5,0.25"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("edges_text, nodes_text, flags", [
-    pytest.param("src,dst,gain_db\n0,5,-60\n", None, [], id="unknown-node"),
-    pytest.param("src,dst,gain_db\n0,1,nan\n1,0,-60\n", None, [], id="nan-gain"),
-    pytest.param(None, "id,cfo_hz,is_initiator\n0,0,1\n1,nan,0\n2,-4000,0\n", [],
+@pytest.mark.parametrize("edges_text, nodes_text, table_text, flags", [
+    pytest.param("src,dst,gain_db\n0,5,-60\n", None, None, [], id="unknown-node"),
+    pytest.param("src,dst,gain_db\n0,1,nan\n1,0,-60\n", None, None, [], id="nan-gain"),
+    pytest.param(None, "id,cfo_hz,is_initiator\n0,0,1\n1,nan,0\n2,-4000,0\n", None, [],
                  id="nan-cfo"),
-    pytest.param(None, None, ["--channels", "99,-4"], id="channels"),
-    pytest.param(None, None, ["--period", "0"], id="period-0"),
-    pytest.param(None, None, ["--period", "nan"], id="period-nan"),
-    pytest.param(None, None, ["--fading-std", "nan"], id="fading-nan"),
-    pytest.param(None, None, ["--fading-std=-1"], id="fading-negative"),
+    pytest.param(None, None, None, ["--channels", "99,-4"], id="channels"),
+    pytest.param(None, None, None, ["--period", "0"], id="period-0"),
+    pytest.param(None, None, None, ["--period", "nan"], id="period-nan"),
+    pytest.param(None, None, None, ["--fading-std", "nan"], id="fading-nan"),
+    pytest.param(None, None, None, ["--fading-std=-1"], id="fading-negative"),
+    pytest.param(None, None, "2M,1,0.0,0.0,1.0,1.0\n2M,1,0.0,0.0,1.0,0.0\n", [],
+                 id="link-table-duplicate-row"),
 ])
-def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, flags):
+def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, table_text, flags):
     edges, nodes = write_topology(tmp_path)
     if edges_text:
         edges.write_text(edges_text)
     if nodes_text:
         nodes.write_text(nodes_text)
+    if table_text:
+        table = tmp_path / "table.csv"
+        table.write_text(linkmodel.CSV_HEADER + "\n" + table_text)
+        flags = flags + ["--link-table", str(table)]
     rc = cli.main(["flood", "--topology", str(edges), "--nodes", str(nodes),
                    "--out", str(tmp_path / "out"), "--seed", "1", "--rounds", "5",
                    "--diameter", "2"] + flags)
@@ -239,6 +247,44 @@ def test_flood_run(tmp_path):
     assert 0.0 <= float(rows[0]["end_to_end_per"]) <= 1.0
     header, rounds = read_csv(tmp_path / "flood_rounds.csv")
     assert len(rounds) == 100
+
+
+def test_round_log_csv(tmp_path):
+    edges, nodes = write_topology(tmp_path)
+    assert cli.main(["flood", "--topology", str(edges), "--nodes", str(nodes),
+                     "--out", str(tmp_path), "--seed", "3", "--rounds", "5",
+                     "--diameter", "2"]) == 0
+    manifest = manifest_lines(tmp_path / "flood_rounds.csv")
+    assert manifest == manifest_lines(tmp_path / "flood_summary.csv")
+    assert "# seed=3" in manifest
+    lines = (tmp_path / "flood_rounds.csv").read_bytes().decode().splitlines(keepends=True)
+    # the csv module's line ends, like every other CSV
+    assert lines[len(manifest)] == "round,success,active_slots,first_slot_1,first_slot_2\r\n"
+    assert len(lines) == len(manifest) + 1 + 5
+    header, rows = read_csv(tmp_path / "flood_rounds.csv")
+    assert [r["round"] for r in rows] == ["0", "1", "2", "3", "4"]
+    for r in rows:
+        slots = [r["first_slot_1"], r["first_slot_2"]]
+        assert all(fs == "" or int(fs) >= 1 for fs in slots)
+        assert r["success"] == str(int("" not in slots))
+
+
+def test_calibrate_modes(tmp_path):
+    # the kernel simulates uncoded BFSK; in table units 1m and 2m are one table
+    common = ["--seed", "2", "--replicas", "100", "--delta-p", "0", "--delta-t", "0",
+              "--beat-ratio", "1"]
+    tables = {}
+    for mode in ("1m", "2m"):
+        assert cli.main(["calibrate", "--out", str(tmp_path / mode), "--mode", mode]
+                        + common) == 0
+        tables[mode] = load_table(tmp_path / mode / "link_table.csv").tables
+    for same in (True, False):
+        np.testing.assert_array_equal(tables["1m"][("1M", same)], tables["2m"][("2M", same)])
+    for mode in ("125k", "500k", "802154"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", "--out", str(tmp_path / mode), "--mode", mode] + common)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert not (tmp_path / mode).exists()
 
 
 def test_calibrate_roundtrip(tmp_path):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctflood.airtime import air_time, get_mode
 from ctflood.linkmodel import (
-    LinkQuery,
     LinkTable,
     classify_beating,
     dumps_table,
@@ -19,14 +17,10 @@ from ctflood.linkmodel import (
 )
 
 TABLE = paper_default_table()
-M1 = get_mode("1M")
 
 
-def _query(mode_name, same, dp, dt_frac, br):
-    mode = get_mode(mode_name)
-    t_packet = air_time(mode, 38)
-    t_beat = math.inf if br == 0 else t_packet / br
-    return LinkQuery(mode, same, dp, dt_frac * mode.bit_period, t_packet, t_beat)
+def _p(mode, same, dp, dt_frac, br, table=TABLE):
+    return reception_probability(table, (mode, same), dp, dt_frac, br)
 
 
 def test_axes_and_shapes_validated():
@@ -38,6 +32,12 @@ def test_axes_and_shapes_validated():
         LinkTable([0.0], [0.0], [1.0], {("1M", True): np.full((1, 1, 1), 1.5)})
     with pytest.raises(ValueError):
         LinkTable([0.0], [0.0], [1.0], {})
+    # a NaN cell would fail every reception there without a word
+    with pytest.raises(ValueError):
+        LinkTable([0.0], [0.0], [1.0], {("1M", True): np.full((1, 1, 1), np.nan)})
+    for axes in (([-1.0, 0.0], [0.0], [1.0]), ([0.0], [-0.5], [1.0]), ([0.0], [0.0], [-1.0])):
+        with pytest.raises(ValueError):
+            LinkTable(*axes, {("1M", True): np.ones(tuple(len(a) for a in axes))})
 
 
 def test_grid_point_exactness():
@@ -45,35 +45,28 @@ def test_grid_point_exactness():
     for i, dp in enumerate(TABLE.dp_axis):
         for j, dt in enumerate(TABLE.dt_axis):
             for k, br in enumerate(TABLE.br_axis):
-                q = _query("1M", True, float(dp), float(dt), float(br))
-                assert reception_probability(TABLE, q) == pytest.approx(
+                assert _p("1M", True, float(dp), float(dt), float(br)) == pytest.approx(
                     grid[i, j, k], abs=1e-12
                 )
 
 
 def test_measured_anchor_values():
-    assert reception_probability(
-        TABLE, _query("125K", True, 0.0, 0.0, 29.44)
-    ) == pytest.approx(0.9914, abs=1e-3)
-    assert reception_probability(
-        TABLE, _query("1M", True, 0.0, 0.0, 3.6)
-    ) == pytest.approx(0.0604, abs=1e-3)
+    assert _p("125K", True, 0.0, 0.0, 29.44) == pytest.approx(0.9914, abs=1e-3)
+    assert _p("1M", True, 0.0, 0.0, 3.6) == pytest.approx(0.0604, abs=1e-3)
     # strong same-data link at a 2 dB margin, slow beating
-    assert reception_probability(TABLE, _query("1M", True, 2.0, 0.0, 0.009)) >= 0.9
+    assert _p("1M", True, 2.0, 0.0, 0.009) >= 0.9
     # half-symbol offset at 4 dB margin in the fastest uncoded mode
-    assert reception_probability(
-        TABLE, _query("2M", True, 4.0, 0.5, 0.0045)
-    ) == pytest.approx(0.6, abs=0.05)
+    assert _p("2M", True, 4.0, 0.5, 0.0045) == pytest.approx(0.6, abs=0.05)
 
 
 def test_capture_thresholds_different_data():
     for mode in ("2M", "1M"):
         for dp in (0.0, 2.0, 4.0):
-            assert reception_probability(TABLE, _query(mode, False, dp, 0.0, 1.0)) < 0.5
-        assert reception_probability(TABLE, _query(mode, False, 8.0, 0.0, 1.0)) >= 0.8
+            assert _p(mode, False, dp, 0.0, 1.0) < 0.5
+        assert _p(mode, False, 8.0, 0.0, 1.0) >= 0.8
     # heavy FEC survives equal power different payloads up to half a symbol
     for dt in (0.0, 0.25, 0.5):
-        assert reception_probability(TABLE, _query("125K", False, 0.0, dt, 1.0)) >= 0.5
+        assert _p("125K", False, 0.0, dt, 1.0) >= 0.5
 
 
 def test_default_monotonicity():
@@ -94,23 +87,21 @@ def test_default_monotonicity():
 )
 @settings(max_examples=200, deadline=None)
 def test_interpolation_bounds_and_clamping(dp, dt, br, mode, same):
-    q = _query(mode, same, dp, dt, br)
-    p = reception_probability(TABLE, q)
+    p = _p(mode, same, dp, dt, br)
     assert 0.0 <= p <= 1.0
-    clamped = _query(
+    clamped = _p(
         mode,
         same,
         min(max(dp, TABLE.dp_axis[0]), TABLE.dp_axis[-1]),
         min(max(dt, TABLE.dt_axis[0]), TABLE.dt_axis[-1]),
         min(max(br, TABLE.br_axis[0]), TABLE.br_axis[-1]),
     )
-    assert p == pytest.approx(reception_probability(TABLE, clamped), abs=1e-12)
+    assert p == pytest.approx(clamped, abs=1e-12)
 
 
 def test_interpolation_stays_within_cell():
     grid = TABLE.tables[("1M", True)]
-    q = _query("1M", True, 0.5, 0.1, 1.0)
-    p = reception_probability(TABLE, q)
+    p = _p("1M", True, 0.5, 0.1, 1.0)
     cell = grid[0:2, 0:2, 5:8]
     assert cell.min() - 1e-12 <= p <= cell.max() + 1e-12
 
@@ -124,19 +115,21 @@ def test_classify_beating():
 
 
 def test_missing_mode_rejected():
-    q = LinkQuery(get_mode("1M"), True, 0.0, 0.0, 1e-3, 1e-3)
     small = LinkTable([0.0], [0.0], [1.0], {("2M", True): np.ones((1, 1, 1))})
+    assert _p("2M", True, 0.0, 0.0, 1.0, table=small) == 1.0
     with pytest.raises(ValueError):
-        reception_probability(small, q)
+        _p("1M", True, 0.0, 0.0, 1.0, table=small)
+    with pytest.raises(ValueError):
+        _p("2M", False, 0.0, 0.0, 1.0, table=small)
 
 
 def test_nan_query_rejected():
     with pytest.raises(ValueError):
-        reception_probability(TABLE, _query("1M", True, math.nan, 0.0, 1.0))
+        _p("1M", True, math.nan, 0.0, 1.0)
     with pytest.raises(ValueError):
-        reception_probability(TABLE, _query("1M", True, 0.0, math.nan, 1.0))
+        _p("1M", True, 0.0, math.nan, 1.0)
     with pytest.raises(ValueError):
-        reception_probability(TABLE, _query("1M", True, 0.0, 0.0, math.nan))
+        _p("1M", True, 0.0, 0.0, math.nan)
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -160,3 +153,12 @@ def test_loads_rejects_bad_input():
         loads_table("")
     with pytest.raises(ValueError):
         loads_table("wrong,header\n1,2\n")
+    head = "mode,same_data,delta_p_db,delta_t_frac,beat_ratio,probability\n"
+    row = "1M,1,0.0,0.0,1.0,"
+    assert loads_table(head + row + "0.5\n").tables[("1M", True)][0, 0, 0] == 0.5
+    with pytest.raises(ValueError, match="duplicate"):
+        loads_table(head + row + "0.5\n" + row + "0.25\n")
+    with pytest.raises(ValueError, match="same_data"):
+        loads_table(head + "1M,7,0.0,0.0,1.0,0.5\n")
+    with pytest.raises(ValueError, match="NaN"):
+        loads_table(head + row + "nan\n")

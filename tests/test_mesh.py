@@ -22,10 +22,11 @@ def chain_topology(n, gain=-60.0, cfo_step=2e3):
 
 def test_topology_validation():
     with pytest.raises(ValueError):
-        mesh.Topology(2, np.zeros((3, 3)), np.zeros(2), np.zeros(2))
+        mesh.Topology(np.zeros((3, 3)), np.zeros(2))
     with pytest.raises(ValueError):
-        mesh.Topology(2, np.zeros((2, 2)), np.zeros(2), np.zeros(2), initiator=5)
+        mesh.Topology(np.zeros((2, 2)), np.zeros(2), initiator=5)
     topo = chain_topology(4)
+    assert topo.n_nodes == 4
     assert list(topo.hop_distances()) == [0, 1, 2, 3]
 
 
@@ -166,20 +167,6 @@ def test_topology_csv_loading(tmp_path):
         mesh.load_topology(edges, nodes)
 
 
-def test_round_log_csv(tmp_path):
-    topo = chain_topology(3)
-    pol = NodePolicy(n_tx=1, diameter=2, hop_sequence=(37,))
-    cfg = mesh.SimConfig(topology=topo, policy=pol, table=bernoulli_table(1.0),
-                         rounds=5, seed=3)
-    _, log = mesh.run(cfg)
-    path = tmp_path / "rounds.csv"
-    mesh.write_round_log(path, log, header_lines=["seed=3"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=3"
-    assert lines[1].startswith("round,success,active_slots")
-    assert len(lines) == 2 + 5
-
-
 def _scanning_at_start(log, listeners, threshold):
     """Replay the resync rule from the reception record: every node starts
     synced, scans after `threshold` silent rounds in a row, and is synced
@@ -239,7 +226,7 @@ def test_resync_path_end_to_end(monkeypatch):
         edges += [(a, b, -60.0) for a, b in extra if a < n and b < n and a != b]
         topo = mesh.Topology.build(edges, n, cfo=[1e3 * v for v in range(n)])
         pol = NodePolicy(n_tx=2, diameter=n - 1, hop_sequence=tuple(channels),
-                         channel_count=len(channels), resync_threshold=threshold)
+                         resync_threshold=threshold)
         cfg = mesh.SimConfig(topology=topo, policy=pol, table=bernoulli_table(p),
                              rounds=25, seed=seed, fading_std=0.0)
         _, log = mesh.run(cfg)

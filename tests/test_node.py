@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,14 @@ def test_policy_defaults_and_validation():
     assert make_policy(n_tx=2, diameter=1, wait_slots=9).wait_slots == 9
     with pytest.raises(ValueError):
         make_policy(n_tx=0)
+    # channel_count is len(hop_sequence), accepted only as that value
+    assert make_policy(channel_count=3).channel_count == 3
+    assert nd.NodePolicy(hop_sequence=(37,)).channel_count == 1
+    for bad in (41, 2, 0):
+        with pytest.raises(ValueError):
+            make_policy(channel_count=bad)
     with pytest.raises(ValueError):
-        make_policy(channel_count=41)
+        nd.NodePolicy(hop_sequence=(37,), channel_count=3)
     with pytest.raises(ValueError):
         nd.NodePolicy(hop_sequence=())
     for bad in ((99,), (37, -4), (40,)):
@@ -32,8 +36,8 @@ def test_policy_defaults_and_validation():
 
 
 def test_initiator_schedule():
-    p = make_policy(n_tx=2, diameter=2, is_initiator=True)
-    st = nd.NodeState()
+    p = make_policy(n_tx=2, diameter=2)
+    st = nd.NodeState(is_initiator=True)
     for s in range(p.slots_per_round):
         kind, chan = nd.next_action(st, p, s)
         if s < p.wait_slots:
@@ -52,7 +56,7 @@ def test_non_initiator_listen_then_burst_then_sleep():
         kind, _ = nd.next_action(st, p, s)
         actions.append(kind)
         if kind == nd.ACT_RX and s == k:
-            st = nd.handle_reception(st, 0, s, p)
+            st = nd.handle_reception(st, 0, p)
         if kind == nd.ACT_TX:
             st = nd.after_transmit(st)
     assert actions[: k + 1] == [nd.ACT_RX] * (k + 1)
@@ -72,14 +76,14 @@ def test_handle_reception_sync_and_idempotence():
     p = make_policy(n_tx=3, diameter=1)
     scanning = nd.NodeState(phase=nd.PHASE_SCANNING, scan_channel=38,
                             scan_periods_left=4)
-    synced = nd.handle_reception(scanning, 12, 4, p)
+    synced = nd.handle_reception(scanning, 12, p)
     assert synced.phase == nd.PHASE_SYNCED
-    assert (synced.round, synced.rx_slot) == (12, 4)
+    assert synced.round == 12
     assert synced.pending_tx == p.n_tx
     assert synced.missed_rounds == 0
     # duplicate reception in the same round grants no extra transmissions
     later = nd.after_transmit(synced)
-    again = nd.handle_reception(later, 12, 6, p)
+    again = nd.handle_reception(later, 12, p)
     assert again == later
 
 
@@ -89,12 +93,12 @@ def test_relay_keeps_the_full_round_counter():
     p = make_policy(n_tx=3, diameter=2)
     assert p.slots_per_round == 10
     r, s = 70_000, 4
-    relay = nd.handle_reception(nd.start_round(nd.NodeState(), r), r, s, p)
+    relay = nd.handle_reception(nd.start_round(nd.NodeState(), r), r, p)
     kind, chan = nd.next_action(relay, p, s + 1)
     want = nd.channel_for(r, s + 1, p.hop_sequence, p.slots_per_round)
     assert kind == nd.ACT_TX and chan == want
-    initiator = nd.start_round(nd.NodeState(), r)
-    assert nd.next_action(initiator, replace(p, is_initiator=True), s + 1) == (nd.ACT_TX, want)
+    initiator = nd.start_round(nd.NodeState(is_initiator=True), r)
+    assert nd.next_action(initiator, p, s + 1) == (nd.ACT_TX, want)
     assert want != nd.channel_for(r & 0xFFFF, s + 1, p.hop_sequence, p.slots_per_round)
 
 
@@ -156,8 +160,8 @@ def test_round_end_resync_threshold():
 
 
 def test_initiator_never_scans():
-    p = make_policy(is_initiator=True, resync_threshold=1)
-    st = nd.NodeState()
+    p = make_policy(resync_threshold=1)
+    st = nd.NodeState(is_initiator=True)
     for _ in range(5):
         st = nd.round_end(st, p)
     assert st.phase == nd.PHASE_SYNCED
@@ -165,11 +169,12 @@ def test_initiator_never_scans():
 
 def test_next_action_total_over_reachable_states():
     p = make_policy(n_tx=2, diameter=1)
-    for phase in (nd.PHASE_SCANNING, nd.PHASE_SYNCED, nd.PHASE_SLEEPING):
+    for phase, initiator in ((nd.PHASE_SCANNING, False), (nd.PHASE_SYNCED, False),
+                             (nd.PHASE_SYNCED, True)):
         for pending in range(p.n_tx + 1):
             for received in (False, True):
-                st = nd.NodeState(phase=phase, pending_tx=pending,
-                                  received_this_round=received,
+                st = nd.NodeState(phase=phase, is_initiator=initiator,
+                                  pending_tx=pending, received_this_round=received,
                                   scan_periods_left=2)
                 for s in range(p.slots_per_round):
                     kind, chan = nd.next_action(st, p, s)
