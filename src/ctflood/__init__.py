@@ -11,7 +11,7 @@ from .phy import (
     modulate,
     superpose,
 )
-from .rx import ReceiverConfig, count_bit_errors, demodulate
+from .rx import count_bit_errors, demodulate
 from .models import (
     Ebn0,
     ber_2ct_equal,

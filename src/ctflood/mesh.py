@@ -183,28 +183,22 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
     topo = cfg.topology
     policy = cfg.policy
     n = topo.n_nodes
-    init = topo.initiator
     rng = np.random.default_rng(cfg.seed)
     states = [nd.NodeState()] * n
-    states[init] = nd.NodeState(is_initiator=True)
+    states[topo.initiator] = nd.NodeState(is_initiator=True)
 
     rounds_log: List[RoundMetrics] = []
-    hop_depth = np.zeros(n, dtype=int)  # drives accumulated jitter variance
-
     for r in range(cfg.rounds):
-        states = [nd.start_round(st, r) for st in states]
-        hop_depth[:] = 0
-        first_slot: Dict[int, Optional[int]] = {v: None for v in range(n) if v != init}
         active = 0
-
         for s in range(policy.slots_per_round):
             actions = [nd.next_action(states[v], policy, s) for v in range(n)]
             txers = [v for v, (kind, _c) in enumerate(actions) if kind == nd.ACT_TX]
             active += sum(1 for kind, _c in actions if kind != nd.ACT_SLEEP)
 
-            # fresh per-slot timing jitter, widening with hop depth (the
-            # initiator's depth stays 0)
-            jitter = rng.normal(0.0, 1.0, n) * JITTER_STD * np.sqrt(hop_depth)
+            # fresh per-slot timing jitter, widening with hop depth, the
+            # 1-based slot of the node's reception (0 for the initiator)
+            depth = [0 if st.rx_slot is None else st.rx_slot + 1 for st in states]
+            jitter = rng.normal(0.0, 1.0, n) * JITTER_STD * np.sqrt(depth)
 
             for v, (kind, chan) in enumerate(actions):
                 if kind != nd.ACT_RX:
@@ -213,21 +207,13 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
                 if not on_channel:
                     continue
                 if resolve_slot(v, on_channel, topo, cfg, jitter, rng):
-                    states[v] = nd.handle_reception(states[v], r, policy)
-                    if first_slot[v] is None:
-                        first_slot[v] = s + 1
-                        hop_depth[v] = s + 1
+                    states[v] = nd.handle_reception(states[v], r, s)
 
-            for v in txers:
-                states[v] = nd.after_transmit(states[v])
-
-        for v in range(n):
-            if states[v].phase == nd.PHASE_SCANNING:
-                states[v] = nd.scan_step(states[v], policy, rng)
-            states[v] = nd.round_end(states[v], policy)
-
+        first_slot = {v: None if st.rx_slot is None else st.rx_slot + 1
+                      for v, st in enumerate(states) if not st.is_initiator}
         success = all(fs is not None for fs in first_slot.values())
         rounds_log.append(RoundMetrics(r, first_slot, success, active))
+        states = [nd.round_end(st, policy, rng) for st in states]
 
     return summarize(cfg, rounds_log), rounds_log
 

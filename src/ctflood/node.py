@@ -4,6 +4,7 @@ Each dissemination round is split into slots. The initiator transmits the
 beacon for the first wait_slots slots of the round; every other node
 listens until it hears one beacon, adopts its (round, slot) counters,
 retransmits it in the next n_tx slots, then sleeps until the next round.
+The slot of that reception is the only per-round record a node keeps.
 All synchronized nodes derive the hop channel, a BLE channel in 0-39, from
 those counters. Nodes that miss too many rounds in a row fall back to
 channel scanning to re-acquire the schedule.
@@ -14,7 +15,7 @@ State transitions are pure: every operation returns a new NodeState.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 PHASE_SCANNING = "scanning"
@@ -29,33 +30,32 @@ ACT_SLEEP = "sleep"
 class NodePolicy:
     """Protocol parameters shared by all nodes of a deployment.
 
-    channel_count is len(hop_sequence); passing any other value is an error.
+    channel_count is accepted only as len(hop_sequence) and is not stored.
     """
 
     n_tx: int = 3
     diameter: int = 5
-    wait_slots: Optional[int] = None
     resync_threshold: int = 4
-    channel_count: Optional[int] = None
     round_period: float = 0.2
     hop_sequence: Tuple[int, ...] = (37, 38, 39)
+    channel_count: InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, channel_count):
         if self.n_tx < 1 or self.diameter < 0:
             raise ValueError("n_tx must be >= 1 and diameter >= 0")
         if not self.hop_sequence:
             raise ValueError("hop_sequence must be non-empty")
-        if self.channel_count not in (None, len(self.hop_sequence)):
+        if channel_count not in (None, len(self.hop_sequence)):
             raise ValueError("channel_count must equal len(hop_sequence)")
-        object.__setattr__(self, "channel_count", len(self.hop_sequence))
         if not all(0 <= c <= 39 for c in self.hop_sequence):
             raise ValueError("hop channels must lie in 0-39")
         if not 0 < self.round_period < math.inf:
             raise ValueError("round_period must be finite and positive")
-        if self.wait_slots is None:
-            object.__setattr__(self, "wait_slots", self.n_tx + 2 * self.diameter)
-        if self.wait_slots < 1:
-            raise ValueError("wait_slots must be positive")
+
+    @property
+    def wait_slots(self) -> int:
+        # listen window: long enough for a beacon to cross the diameter
+        return self.n_tx + 2 * self.diameter
 
     @property
     def slots_per_round(self) -> int:
@@ -67,14 +67,14 @@ class NodePolicy:
 @dataclass(frozen=True)
 class NodeState:
     """One node's protocol state; the initiator originates every round's
-    beacon and never falls back to scanning."""
+    beacon and never falls back to scanning. rx_slot is the slot of this
+    round's reception, None before it."""
 
     phase: str = PHASE_SYNCED
     is_initiator: bool = False
     round: int = 0
-    pending_tx: int = 0
+    rx_slot: Optional[int] = None
     missed_rounds: int = 0
-    received_this_round: bool = False
     scan_channel: int = 37
     scan_periods_left: int = 0
 
@@ -91,7 +91,8 @@ def next_action(state: NodeState, policy: NodePolicy, slot: int):
     """Decide the radio action for one slot.
 
     Returns (kind, channel) where kind is one of transmit/listen/sleep;
-    channel is None for sleep.
+    channel is None for sleep. A relay listens until its reception and
+    transmits in the n_tx slots after it.
     """
     if state.phase == PHASE_SCANNING:
         return ACT_RX, state.scan_channel
@@ -100,36 +101,23 @@ def next_action(state: NodeState, policy: NodePolicy, slot: int):
         if slot < policy.wait_slots:
             return ACT_TX, ch
         return ACT_SLEEP, None
-    if state.pending_tx > 0:
+    if state.rx_slot is None:
+        if slot < policy.wait_slots:
+            return ACT_RX, ch
+        return ACT_SLEEP, None
+    if state.rx_slot < slot <= state.rx_slot + policy.n_tx:
         return ACT_TX, ch
-    if not state.received_this_round and slot < policy.wait_slots:
-        return ACT_RX, ch
     return ACT_SLEEP, None
 
 
-def after_transmit(state: NodeState) -> NodeState:
-    """Book-keeping after one transmit slot."""
-    if state.pending_tx <= 0:
-        return state
-    return replace(state, pending_tx=state.pending_tx - 1)
-
-
-def handle_reception(state: NodeState, round_no: int, policy: NodePolicy) -> NodeState:
-    """Adopt the round counter of a received beacon and schedule n_tx relays.
-
-    The slot counter needs no state: the caller passes it to next_action.
-    """
-    if state.received_this_round:
+def handle_reception(state: NodeState, round_no: int, slot: int) -> NodeState:
+    """Adopt the round counter of a beacon received in `slot` and record the
+    slot, which next_action relays the beacon after."""
+    if state.rx_slot is not None:
         # duplicate within the round: no extra retransmissions
         return state
-    return replace(
-        state,
-        phase=PHASE_SYNCED,
-        round=round_no,
-        pending_tx=policy.n_tx,
-        missed_rounds=0,
-        received_this_round=True,
-    )
+    return replace(state, phase=PHASE_SYNCED, round=round_no, rx_slot=slot,
+                   missed_rounds=0)
 
 
 def scan_step(state: NodeState, policy: NodePolicy, rng) -> NodeState:
@@ -141,22 +129,20 @@ def scan_step(state: NodeState, policy: NodePolicy, rng) -> NodeState:
         return replace(state, scan_periods_left=left)
     ch = policy.hop_sequence[int(rng.integers(0, len(policy.hop_sequence)))]
     return replace(state, scan_channel=ch,
-                   scan_periods_left=2 * policy.channel_count)
+                   scan_periods_left=2 * len(policy.hop_sequence))
 
 
-def start_round(state: NodeState, round_no: int) -> NodeState:
-    """Reset per-round flags at the round boundary."""
+def round_end(state: NodeState, policy: NodePolicy, rng) -> NodeState:
+    """The round boundary.
+
+    A scanning node takes one scan step. A synced node that heard no beacon
+    counts a silent round and falls back to scanning at the threshold;
+    otherwise it moves to the next round with no reception yet.
+    """
     if state.phase == PHASE_SCANNING:
-        return state
-    return replace(state, round=round_no, pending_tx=0, received_this_round=False)
-
-
-def round_end(state: NodeState, policy: NodePolicy) -> NodeState:
-    """Count silent rounds; fall back to scanning at the threshold."""
-    if state.is_initiator or state.phase == PHASE_SCANNING:
-        return state
-    if state.received_this_round:
-        return replace(state, missed_rounds=0)
+        return scan_step(state, policy, rng)
+    if state.is_initiator or state.rx_slot is not None:
+        return replace(state, round=state.round + 1, rx_slot=None)
     missed = state.missed_rounds + 1
     if missed >= policy.resync_threshold:
         return replace(
@@ -164,6 +150,6 @@ def round_end(state: NodeState, policy: NodePolicy) -> NodeState:
             phase=PHASE_SCANNING,
             missed_rounds=missed,
             scan_channel=policy.hop_sequence[0],
-            scan_periods_left=2 * policy.channel_count,
+            scan_periods_left=2 * len(policy.hop_sequence),
         )
-    return replace(state, missed_rounds=missed)
+    return replace(state, round=state.round + 1, missed_rounds=missed)

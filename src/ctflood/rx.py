@@ -7,18 +7,9 @@ used, so constant rotations of the input are irrelevant by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phy import ModulationParams, SampleStream
-
-
-@dataclass(frozen=True)
-class ReceiverConfig:
-    """Demodulator setup: the modulation whose tones the branches match."""
-
-    mod: ModulationParams
 
 
 def tone_matrix(mod: ModulationParams) -> np.ndarray:
@@ -34,19 +25,19 @@ def tone_matrix(mod: ModulationParams) -> np.ndarray:
     return np.vstack([lo, hi])
 
 
-def demodulate(stream: SampleStream, cfg: ReceiverConfig, n_bits: int) -> np.ndarray:
+def demodulate(stream: SampleStream, mod: ModulationParams, n_bits: int) -> np.ndarray:
     """Decide n_bits symbols starting at the reference timing origin.
 
     Ties in branch energy go to bit 0.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be positive")
-    sps = cfg.mod.samples_per_symbol
+    sps = mod.samples_per_symbol
     needed = n_bits * sps
     if len(stream) < needed:
         raise ValueError("stream too short for requested bit count")
     windows = stream.samples[:needed].reshape(n_bits, sps)
-    tones = tone_matrix(cfg.mod)
+    tones = tone_matrix(mod)
     # correlator outputs, shape (n_bits, 2)
     corr = windows @ tones.T
     energy = np.abs(corr) ** 2

@@ -262,8 +262,6 @@ def test_acceptance_09_protocol_invariants():
         peer = nd.NodeState(is_initiator=True)
         silent_rounds = int(rng.integers(0, r_thresh + 2))
         for rnd in range(silent_rounds + 1):
-            state = nd.start_round(state, rnd)
-            peer = nd.start_round(peer, rnd)
             hear = rnd == silent_rounds  # silent prefix, then one reception
             rx_slot = int(rng.integers(0, pol.wait_slots))
             tx_count = 0
@@ -282,24 +280,21 @@ def test_acceptance_09_protocol_invariants():
                     tx_count += 1
                     if first_tx is None:
                         first_tx = s
-                    state = nd.after_transmit(state)
                 elif kind == nd.ACT_RX and hear and s == rx_slot:
-                    state = nd.handle_reception(state, rnd, pol)
+                    state = nd.handle_reception(state, rnd, s)
                     first_rx = s
-                kb, _ = nd.next_action(peer, pol, s)
-                if kb == nd.ACT_TX:
-                    peer = nd.after_transmit(peer)
             # causality: transmissions strictly follow the reception
             if first_tx is not None and (first_rx is None or first_tx <= first_rx):
                 violations += 1
             # at most n_tx transmissions per round
             if tx_count > pol.n_tx:
                 violations += 1
-            state = nd.round_end(state, pol)
+            state = nd.round_end(state, pol, rng)
+            peer = nd.round_end(peer, pol, rng)
         # resync after the configured number of silent rounds
         probe = nd.NodeState()
         for _r in range(r_thresh):
-            probe = nd.round_end(probe, pol)
+            probe = nd.round_end(probe, pol, rng)
         if probe.phase != nd.PHASE_SCANNING:
             violations += 1
         if probe.phase == nd.PHASE_SCANNING:

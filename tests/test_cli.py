@@ -190,6 +190,8 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["calibrate", "--delta-p", "8,0,2"],
     ["per", "--delta-p", "4,4"],
     ["per", "--delta-t", "0.5,0.25"],
+    ["ber", "--start-db", "nan"],
+    ["ber", "--stop-db", "inf"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
@@ -247,6 +249,19 @@ def test_flood_run(tmp_path):
     assert 0.0 <= float(rows[0]["end_to_end_per"]) <= 1.0
     header, rounds = read_csv(tmp_path / "flood_rounds.csv")
     assert len(rounds) == 100
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken_run(cfg):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cli.mesh, "run", broken_run)
+    edges, nodes = write_topology(tmp_path)
+    rc = cli.main(["flood", "--topology", str(edges), "--nodes", str(nodes),
+                   "--out", str(tmp_path), "--seed", "1"])
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert "internal error: broken invariant" in capsys.readouterr().err
+    assert not list(tmp_path.glob("flood_*.csv"))
 
 
 def test_round_log_csv(tmp_path):

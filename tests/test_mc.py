@@ -25,7 +25,7 @@ from ctflood.montecarlo import (
     wilson_ci,
 )
 from ctflood.phy import ModulationParams, TransmitterSpec, add_awgn, modulate, superpose
-from ctflood.rx import ReceiverConfig, count_bit_errors, demodulate, tone_matrix
+from ctflood.rx import count_bit_errors, demodulate, tone_matrix
 
 MOD = ModulationParams(symbol_period=1e-6)
 
@@ -274,5 +274,5 @@ def test_kernel_ber_matches_waveform_path_at_non_unit_index():
     n_bits = 40_000
     bits = np.random.default_rng(67).integers(0, 2, n_bits)
     stream = add_awgn(modulate(bits, mod, TransmitterSpec(phase=0.7)), 6.0, mod, seed=71)
-    errors = count_bit_errors(bits, demodulate(stream, ReceiverConfig(mod), n_bits))
+    errors = count_bit_errors(bits, demodulate(stream, mod, n_bits))
     assert kernel.overlaps(_estimate(errors, n_bits))

@@ -90,8 +90,9 @@ def test_hop_count_lower_bound_and_causality():
 def test_single_bernoulli_link_delivery():
     topo = chain_topology(2)
     n_tx = 3
-    pol = NodePolicy(n_tx=n_tx, diameter=0, wait_slots=n_tx, hop_sequence=(37,),
+    pol = NodePolicy(n_tx=n_tx, diameter=0, hop_sequence=(37,),
                      resync_threshold=10 ** 9)
+    assert pol.wait_slots == n_tx
     p = 0.6
     cfg = mesh.SimConfig(topology=topo, policy=pol, table=bernoulli_table(p),
                          rounds=4000, seed=11)

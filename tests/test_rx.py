@@ -4,10 +4,9 @@ import pytest
 from ctflood.models import ber_bfsk
 from ctflood.montecarlo import PhyExperimentSpec, run_ber_point
 from ctflood.phy import ModulationParams, SampleStream, TransmitterSpec, add_awgn, modulate
-from ctflood.rx import ReceiverConfig, count_bit_errors, demodulate
+from ctflood.rx import count_bit_errors, demodulate
 
 MOD = ModulationParams(symbol_period=1e-6)
-CFG = ReceiverConfig(MOD)
 
 
 def test_noiseless_roundtrip():
@@ -15,27 +14,27 @@ def test_noiseless_roundtrip():
     for _ in range(5):
         bits = rng.integers(0, 2, 200)
         s = modulate(bits, MOD, TransmitterSpec(phase=float(rng.uniform(0, 6.28))))
-        out = demodulate(s, CFG, len(bits))
+        out = demodulate(s, MOD, len(bits))
         assert count_bit_errors(bits, out) == 0
 
 
 def test_phase_and_amplitude_invariance():
     bits = np.random.default_rng(1).integers(0, 2, 64)
     s = modulate(bits, MOD, TransmitterSpec(phase=0.0))
-    base = demodulate(s, CFG, 64)
+    base = demodulate(s, MOD, 64)
     for rot in (0.5, 1.7, 3.1):
         rotated = SampleStream(s.samples * np.exp(1j * rot), s.sample_rate)
-        np.testing.assert_array_equal(demodulate(rotated, CFG, 64), base)
+        np.testing.assert_array_equal(demodulate(rotated, MOD, 64), base)
     scaled = SampleStream(s.samples * 7.3, s.sample_rate)
-    np.testing.assert_array_equal(demodulate(scaled, CFG, 64), base)
+    np.testing.assert_array_equal(demodulate(scaled, MOD, 64), base)
 
 
 def test_demodulate_rejects_short_stream():
     s = modulate([1, 0], MOD, TransmitterSpec(phase=0.0))
     with pytest.raises(ValueError):
-        demodulate(s, CFG, 3)
+        demodulate(s, MOD, 3)
     with pytest.raises(ValueError):
-        demodulate(s, CFG, 0)
+        demodulate(s, MOD, 0)
 
 
 def test_count_bit_errors():
@@ -72,6 +71,6 @@ def test_noisy_single_window_matches_direct_demod():
     bits = np.random.default_rng(3).integers(0, 2, 128)
     s = modulate(bits, MOD, TransmitterSpec(phase=1.1))
     noisy = add_awgn(s, 8.0, MOD, seed=9)
-    out = demodulate(noisy, CFG, 128)
+    out = demodulate(noisy, MOD, 128)
     # at 8 dB a 128-bit packet decodes with only a few errors at most
     assert count_bit_errors(bits, out) < 15
