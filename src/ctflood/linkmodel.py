@@ -12,6 +12,7 @@ tables produced by the Monte Carlo calibrator.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ def _interp_weights(axis: np.ndarray, value: float):
         return 0, 0, 0.0
     if value >= axis[-1]:
         return axis.size - 1, axis.size - 1, 0.0
-    hi = int(np.searchsorted(axis, value))
+    hi = bisect.bisect_left(axis, value)
     lo = hi - 1
     w = (value - axis[lo]) / (axis[hi] - axis[lo])
     return lo, hi, float(w)

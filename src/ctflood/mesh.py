@@ -4,8 +4,10 @@ Every slot, each node picks transmit/listen/sleep from its state machine.
 Reception of a listener is resolved from the two strongest concurrent
 arrivals: their received-power difference, their relative timing jitter,
 and the beat period of their carrier offsets index the link table, and a
-Bernoulli draw decides the outcome. A node that receives adopts the
-round and slot counters the beacon carries.
+Bernoulli draw decides the outcome. Arrivals are gathered from each
+transmitter's out-links, so only listeners that a transmitter on their
+channel reaches are resolved. A node that receives adopts the round and
+slot counters the beacon carries.
 
 Edge gains are the received power in dB at the reference transmit power
 that every node uses; per-slot fading perturbs them.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,29 +33,50 @@ F_CLOCK = 16e6  # Hz, slot timer clock of every node
 JITTER_STD = jitter_sigma(F_CLOCK)  # seconds, per-hop timing jitter of every node
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Directed link gains in dB (-inf = no link) plus per-node carrier offsets."""
+    """Directed link gains in dB (-inf = no link) plus per-node carrier offsets.
+
+    gains and cfo are read-only copies of the arrays given, so the link
+    lists derived from them below never go stale.
+    """
 
     gains: np.ndarray  # (n, n) dB
     cfo: np.ndarray  # (n,) Hz
     initiator: int = 0
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=float)
-        self.cfo = np.asarray(self.cfo, dtype=float)
-        if self.cfo.ndim != 1 or self.gains.shape != (self.n_nodes,) * 2:
+        gains = np.array(self.gains, dtype=float)
+        cfo = np.array(self.cfo, dtype=float)
+        if cfo.ndim != 1 or gains.shape != (len(cfo),) * 2:
             raise ValueError("topology arrays do not match node count")
-        if not 0 <= self.initiator < self.n_nodes:
+        if not 0 <= self.initiator < len(cfo):
             raise ValueError("initiator out of range")
-        if np.any(np.isnan(self.gains) | np.isposinf(self.gains)):
+        if np.any(np.isnan(gains) | np.isposinf(gains)):
             raise ValueError("gains must be finite or -inf")
-        if not np.all(np.isfinite(self.cfo)):
+        if not np.all(np.isfinite(cfo)):
             raise ValueError("cfo must be finite")
+        for name, arr in (("gains", gains), ("cfo", cfo)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_nodes(self) -> int:
         return len(self.cfo)
+
+    @cached_property
+    def out_links(self) -> List[List[int]]:
+        """out_links[t]: every node that t reaches, ascending."""
+        return [np.flatnonzero(row > NEG_INF).tolist() for row in self.gains]
+
+    @cached_property
+    def in_gains(self) -> List[Dict[int, float]]:
+        """in_gains[v][t]: gain in dB of the link t->v, for every t that reaches v."""
+        linked = [{} for _ in range(self.n_nodes)]
+        for t, listeners in enumerate(self.out_links):
+            for v, g in zip(listeners, self.gains[t, listeners].tolist()):
+                linked[v][t] = g
+        return linked
 
     @classmethod
     def build(
@@ -74,22 +98,23 @@ class Topology:
         return cls(gains, cfo, initiator)
 
     def hop_distances(self) -> np.ndarray:
-        """Unweighted shortest-path distance from the initiator (BFS)."""
-        dist = np.full(self.n_nodes, -1, dtype=int)
+        """Unweighted shortest-path distance from the initiator (BFS over the
+        out-links), -1 for a node it does not reach."""
+        dist = [-1] * self.n_nodes
         dist[self.initiator] = 0
         frontier = [self.initiator]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in range(self.n_nodes):
-                    if self.gains[u, v] > NEG_INF and dist[v] < 0:
+                for v in self.out_links[u]:
+                    if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             frontier = nxt
-        return dist
+        return np.array(dist)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     topology: Topology
     policy: nd.NodePolicy
@@ -102,13 +127,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.mode is None:
-            self.mode = get_mode("2M")
+            object.__setattr__(self, "mode", get_mode("2M"))
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.fading_std < math.inf:
             raise ValueError("fading_std must be finite and >= 0")
 
-    @property
+    @cached_property
     def air_time(self) -> float:
         return air_time(self.mode, self.pdu_len)
 
@@ -146,19 +171,17 @@ def resolve_slot(
 ) -> bool:
     """Bernoulli reception outcome of one listener in one slot.
 
-    Every transmitter of a flood sends the same beacon, so the table's
-    same-data entry applies.
+    A transmitter without a link to the listener does not arrive. Every
+    transmitter of a flood sends the same beacon, so the table's same-data
+    entry applies.
     """
-    arrivals = []
-    for t in transmitters:
-        p_rx = topology.gains[t, listener]
-        if p_rx == NEG_INF:
-            continue
-        if cfg.fading_std > 0:
-            p_rx += rng.normal(0.0, cfg.fading_std)
-        arrivals.append((p_rx, t))
+    linked = topology.in_gains[listener]
+    arrivals = [(linked[t], t) for t in transmitters if t in linked]
     if not arrivals:
         return False
+    if cfg.fading_std > 0:
+        fades = rng.normal(0.0, cfg.fading_std, len(arrivals)).tolist()
+        arrivals = [(g + f, t) for (g, t), f in zip(arrivals, fades)]
     arrivals.sort(reverse=True)
     table = cfg.table
     key = (cfg.mode.name, True)
@@ -183,6 +206,7 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
     topo = cfg.topology
     policy = cfg.policy
     n = topo.n_nodes
+    out_links = topo.out_links
     rng = np.random.default_rng(cfg.seed)
     states = [nd.NodeState()] * n
     states[topo.initiator] = nd.NodeState(is_initiator=True)
@@ -191,22 +215,31 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
     for r in range(cfg.rounds):
         active = 0
         for s in range(policy.slots_per_round):
-            actions = [nd.next_action(states[v], policy, s) for v in range(n)]
-            txers = [v for v, (kind, _c) in enumerate(actions) if kind == nd.ACT_TX]
-            active += sum(1 for kind, _c in actions if kind != nd.ACT_SLEEP)
+            txers = []  # (transmitter, channel), ascending
+            rx_chan = [None] * n  # channel of each listener
+            for v, st in enumerate(states):
+                kind, chan = nd.next_action(st, policy, s)
+                if kind == nd.ACT_TX:
+                    txers.append((v, chan))
+                elif kind == nd.ACT_RX:
+                    rx_chan[v] = chan
+                    active += 1
+            active += len(txers)
 
             # fresh per-slot timing jitter, widening with hop depth, the
             # 1-based slot of the node's reception (0 for the initiator)
             depth = [0 if st.rx_slot is None else st.rx_slot + 1 for st in states]
             jitter = rng.normal(0.0, 1.0, n) * JITTER_STD * np.sqrt(depth)
 
-            for v, (kind, chan) in enumerate(actions):
-                if kind != nd.ACT_RX:
-                    continue
-                on_channel = [t for t in txers if actions[t][1] == chan]
-                if not on_channel:
-                    continue
-                if resolve_slot(v, on_channel, topo, cfg, jitter, rng):
+            # each listener's arrivals, in ascending transmitter order; a
+            # listener that no transmitter on its channel reaches draws nothing
+            heard: Dict[int, List[int]] = {}
+            for t, chan in txers:
+                for v in out_links[t]:
+                    if rx_chan[v] == chan:
+                        heard.setdefault(v, []).append(t)
+            for v in sorted(heard):
+                if resolve_slot(v, heard[v], topo, cfg, jitter, rng):
                     states[v] = nd.handle_reception(states[v], r, s)
 
         first_slot = {v: None if st.rx_slot is None else st.rx_slot + 1
@@ -274,13 +307,16 @@ def load_topology(edge_path, node_path) -> Topology:
     """Edge list CSV `src,dst,gain_db` plus node CSV `id,cfo_hz,is_initiator`.
 
     gain_db is the received power at the reference transmit power; edges
-    must name existing node ids.
+    must name existing node ids, each (src, dst) pair at most once, and
+    is_initiator is 0 or 1.
     """
     nodes = []
     with open(node_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            nodes.append((int(row["id"]), float(row["cfo_hz"]),
-                          int(row["is_initiator"])))
+            is_init = int(row["is_initiator"])
+            if is_init not in (0, 1):
+                raise ValueError(f"is_initiator must be 0 or 1, not {is_init}")
+            nodes.append((int(row["id"]), float(row["cfo_hz"]), is_init))
     if not nodes:
         raise ValueError("node table is empty")
     nodes.sort()
@@ -290,9 +326,13 @@ def load_topology(edge_path, node_path) -> Topology:
     initiators = [i for i, _, is_init in nodes if is_init]
     if len(initiators) != 1:
         raise ValueError("exactly one initiator required")
-    edges = []
+    edges, links = [], set()
     with open(edge_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            edges.append((int(row["src"]), int(row["dst"]), float(row["gain_db"])))
+            link = int(row["src"]), int(row["dst"])
+            if link in links:
+                raise ValueError(f"edge {link[0]}->{link[1]} is listed twice")
+            links.add(link)
+            edges.append((*link, float(row["gain_db"])))
     return Topology.build(edges, len(ids), cfo=[c for _, c, _ in nodes],
                           initiator=initiators[0], symmetric=False)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 PHASE_SCANNING = "scanning"
@@ -31,6 +32,7 @@ class NodePolicy:
     """Protocol parameters shared by all nodes of a deployment.
 
     channel_count is accepted only as len(hop_sequence) and is not stored.
+    wait_slots and slots_per_round derive from the fields, once per policy.
     """
 
     n_tx: int = 3
@@ -52,12 +54,12 @@ class NodePolicy:
         if not 0 < self.round_period < math.inf:
             raise ValueError("round_period must be finite and positive")
 
-    @property
+    @cached_property
     def wait_slots(self) -> int:
         # listen window: long enough for a beacon to cross the diameter
         return self.n_tx + 2 * self.diameter
 
-    @property
+    @cached_property
     def slots_per_round(self) -> int:
         # worst case: a reception in the very last listen slot is still
         # followed by the node's full transmit burst
@@ -96,18 +98,18 @@ def next_action(state: NodeState, policy: NodePolicy, slot: int):
     """
     if state.phase == PHASE_SCANNING:
         return ACT_RX, state.scan_channel
-    ch = channel_for(state.round, slot, policy.hop_sequence, policy.slots_per_round)
     if state.is_initiator:
-        if slot < policy.wait_slots:
-            return ACT_TX, ch
+        kind = ACT_TX if slot < policy.wait_slots else ACT_SLEEP
+    elif state.rx_slot is None:
+        kind = ACT_RX if slot < policy.wait_slots else ACT_SLEEP
+    elif state.rx_slot < slot <= state.rx_slot + policy.n_tx:
+        kind = ACT_TX
+    else:
+        kind = ACT_SLEEP
+    if kind == ACT_SLEEP:
         return ACT_SLEEP, None
-    if state.rx_slot is None:
-        if slot < policy.wait_slots:
-            return ACT_RX, ch
-        return ACT_SLEEP, None
-    if state.rx_slot < slot <= state.rx_slot + policy.n_tx:
-        return ACT_TX, ch
-    return ACT_SLEEP, None
+    return kind, channel_for(state.round, slot, policy.hop_sequence,
+                             policy.slots_per_round)
 
 
 def handle_reception(state: NodeState, round_no: int, slot: int) -> NodeState:

@@ -210,6 +210,10 @@ def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     pytest.param(None, None, None, ["--fading-std=-1"], id="fading-negative"),
     pytest.param(None, None, "2M,1,0.0,0.0,1.0,1.0\n2M,1,0.0,0.0,1.0,0.0\n", [],
                  id="link-table-duplicate-row"),
+    pytest.param("src,dst,gain_db\n0,1,-60\n1,0,-60\n0,1,-95\n", None, None, [],
+                 id="repeated-edge"),
+    pytest.param(None, "id,cfo_hz,is_initiator\n0,0,0\n1,2000,7\n2,-4000,0\n", None, [],
+                 id="initiator-flag-7"),
 ])
 def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, table_text, flags):
     edges, nodes = write_topology(tmp_path)

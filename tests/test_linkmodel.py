@@ -106,6 +106,46 @@ def test_interpolation_stays_within_cell():
     assert cell.min() - 1e-12 <= p <= cell.max() + 1e-12
 
 
+def _searchsorted_probability(table, key, delta_p, dt_frac, beat_ratio):
+    """reception_probability with numpy's left-side search for the cell."""
+    def weights(axis, value):
+        if value <= axis[0]:
+            return 0, 0, 0.0
+        if value >= axis[-1]:
+            return axis.size - 1, axis.size - 1, 0.0
+        hi = int(np.searchsorted(axis, value))
+        lo = hi - 1
+        return lo, hi, float((value - axis[lo]) / (axis[hi] - axis[lo]))
+
+    grid = table.tables[key]
+    ilo, ihi, wi = weights(table.dp_axis, delta_p)
+    jlo, jhi, wj = weights(table.dt_axis, dt_frac)
+    klo, khi, wk = weights(table.br_axis, beat_ratio)
+    total = 0.0
+    for i, pi in ((ilo, 1 - wi), (ihi, wi)):
+        for j, pj in ((jlo, 1 - wj), (jhi, wj)):
+            for k, pk in ((klo, 1 - wk), (khi, wk)):
+                w = pi * pj * pk
+                if w:
+                    total += w * grid[i, j, k]
+    return float(total)
+
+
+def test_lookup_equals_the_searchsorted_lookup_exactly():
+    def probes(axis):
+        # grid points, points between them, and points outside the hull
+        mids = (axis[:-1] + axis[1:]) / 2
+        thirds = axis[:-1] + (axis[1:] - axis[:-1]) / 3
+        return [*axis, *mids, *thirds, axis[0] - 1.0, axis[-1] + 1.0, 1e9]
+
+    for key in (("2M", True), ("1M", False), ("125K", True)):
+        for dp in probes(TABLE.dp_axis):
+            for dt in probes(TABLE.dt_axis):
+                for br in probes(TABLE.br_axis):
+                    got = reception_probability(TABLE, key, dp, dt, br)
+                    assert got == _searchsorted_probability(TABLE, key, dp, dt, br)
+
+
 def test_classify_beating():
     assert classify_beating(0.368e-3, 40e-3) == "slow"
     assert classify_beating(0.368e-3, 0.10e-3) == "fast"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ctflood import mesh
 from ctflood import node as nd
-from ctflood.linkmodel import LinkTable, paper_default_table
+from ctflood.linkmodel import LinkTable, paper_default_table, reception_probability
 from ctflood.node import NodePolicy
 
 
@@ -28,6 +29,32 @@ def test_topology_validation():
     topo = chain_topology(4)
     assert topo.n_nodes == 4
     assert list(topo.hop_distances()) == [0, 1, 2, 3]
+    # distances follow link direction; an unreachable node reads -1
+    one_way = mesh.Topology.build([(1, 0, -60.0), (1, 2, -60.0)], 4, cfo=[0.0] * 4,
+                                  initiator=1, symmetric=False)
+    assert list(one_way.hop_distances()) == [1, 0, 1, -1]
+    assert one_way.out_links == [[], [0, 2], [], []]
+    assert one_way.in_gains == [{1: -60.0}, {}, {1: -60.0}, {}]
+
+
+def test_topology_and_config_are_immutable():
+    gains = np.full((2, 2), -np.inf)
+    gains[0, 1] = gains[1, 0] = -60.0
+    topo = mesh.Topology(gains, [0.0, 1e3])
+    # a write after validation would bypass it (NaN) and stale the link lists
+    with pytest.raises(ValueError):
+        topo.gains[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        topo.cfo[0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.gains = np.zeros((2, 2))
+    # the caller's array is copied, not made read-only
+    gains[0, 1] = -90.0
+    assert topo.gains[0, 1] == -60.0 and topo.in_gains[1] == {0: -60.0}
+    cfg = mesh.SimConfig(topology=topo, policy=NodePolicy(), table=bernoulli_table(1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.rounds = 5
+    assert cfg.mode.name == "2M"
 
 
 def test_two_nodes_perfect_link():
@@ -166,6 +193,13 @@ def test_topology_csv_loading(tmp_path):
     nodes.write_text("id,cfo_hz,is_initiator\n0,0,1\n1,2000,1\n")
     with pytest.raises(ValueError):
         mesh.load_topology(edges, nodes)
+    nodes.write_text("id,cfo_hz,is_initiator\n0,0,7\n1,2000,0\n")
+    with pytest.raises(ValueError, match="is_initiator"):
+        mesh.load_topology(edges, nodes)
+    nodes.write_text("id,cfo_hz,is_initiator\n0,0,1\n1,2000,0\n")
+    edges.write_text("src,dst,gain_db\n0,1,-60\n1,0,-60\n0,1,-95\n")
+    with pytest.raises(ValueError, match="twice"):
+        mesh.load_topology(edges, nodes)
 
 
 def _scanning_at_start(log, listeners, threshold):
@@ -245,3 +279,93 @@ def test_resync_path_end_to_end(monkeypatch):
     check()
     assert scan_steps, "no example reached the scanning branch"
     assert resynced and all(resynced), "a scanning node that hears a beacon re-syncs"
+
+
+def _reference_resolve(listener, transmitters, topo, cfg, jitter, rng):
+    """Reception of one listener: scalar gain lookups, one fading draw per
+    arrival in transmitter order."""
+    arrivals = []
+    for t in transmitters:
+        p_rx = topo.gains[t, listener]
+        if p_rx == -math.inf:
+            continue
+        if cfg.fading_std > 0:
+            p_rx += rng.normal(0.0, cfg.fading_std)
+        arrivals.append((p_rx, t))
+    if not arrivals:
+        return False
+    arrivals.sort(reverse=True)
+    table, key = cfg.table, (cfg.mode.name, True)
+    if len(arrivals) == 1:
+        p = reception_probability(table, key, float(table.dp_axis[-1]), 0.0, 0.0)
+    else:
+        (p1, t1), (p2, t2) = arrivals[0], arrivals[1]
+        p = reception_probability(
+            table, key, p1 - p2,
+            abs(jitter[t1] - jitter[t2]) / cfg.mode.bit_period,
+            cfg.air_time * abs(topo.cfo[t1] - topo.cfo[t2]))
+    return bool(rng.random() < p)
+
+
+def _reference_run(cfg):
+    """mesh.run as a listener-side loop: every listener filters all of the
+    slot's transmitters by channel, then by link."""
+    topo, policy, n = cfg.topology, cfg.policy, cfg.topology.n_nodes
+    rng = np.random.default_rng(cfg.seed)
+    states = [nd.NodeState()] * n
+    states[topo.initiator] = nd.NodeState(is_initiator=True)
+    log = []
+    for r in range(cfg.rounds):
+        active = 0
+        for s in range(policy.slots_per_round):
+            actions = [nd.next_action(st, policy, s) for st in states]
+            txers = [v for v, (kind, _c) in enumerate(actions) if kind == nd.ACT_TX]
+            active += sum(1 for kind, _c in actions if kind != nd.ACT_SLEEP)
+            depth = [0 if st.rx_slot is None else st.rx_slot + 1 for st in states]
+            jitter = rng.normal(0.0, 1.0, n) * mesh.JITTER_STD * np.sqrt(depth)
+            for v, (kind, chan) in enumerate(actions):
+                if kind != nd.ACT_RX:
+                    continue
+                on_channel = [t for t in txers if actions[t][1] == chan]
+                if on_channel and _reference_resolve(v, on_channel, topo, cfg, jitter, rng):
+                    states[v] = nd.handle_reception(states[v], r, s)
+        first_slot = {v: None if st.rx_slot is None else st.rx_slot + 1
+                      for v, st in enumerate(states) if not st.is_initiator}
+        success = all(fs is not None for fs in first_slot.values())
+        log.append(mesh.RoundMetrics(r, first_slot, success, active))
+        states = [nd.round_end(st, policy, rng) for st in states]
+    return mesh.summarize(cfg, log), log
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    parents=st.lists(st.integers(0, 10 ** 6), min_size=7, max_size=7),
+    extra=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=4),
+    gains=st.lists(st.floats(-80.0, -55.0), min_size=11, max_size=11),
+    cfo=st.lists(st.floats(-2e4, 2e4), min_size=8, max_size=8),
+    initiator=st.integers(0, 7),
+    channels=st.lists(st.integers(0, 39), min_size=1, max_size=3),
+    n_tx=st.integers(1, 3),
+    diameter=st.integers(0, 7),
+    threshold=st.integers(1, 3),
+    fading=st.sampled_from([0.0, 1.0, 4.0]),
+    p=st.one_of(st.none(), st.floats(0.2, 1.0)),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_run_equals_the_listener_side_reference(n, parents, extra, gains, cfo, initiator,
+                                                channels, n_tx, diameter, threshold,
+                                                fading, p, seed):
+    # a random spanning tree, both directions, plus one-way extra links
+    tree = [(v, parents[v - 1] % v, gains[v - 1]) for v in range(1, n)]
+    g = mesh.Topology.build(tree, n, cfo=cfo[:n]).gains.copy()
+    for (a, b), gain in zip(extra, gains[7:]):
+        if a < n and b < n and a != b:
+            g[a, b] = gain
+    topo = mesh.Topology(g, cfo[:n], initiator=initiator % n)
+    pol = NodePolicy(n_tx=n_tx, diameter=diameter, hop_sequence=tuple(channels),
+                     resync_threshold=threshold)
+    table = paper_default_table() if p is None else bernoulli_table(p)
+    cfg = mesh.SimConfig(topology=topo, policy=pol, table=table, rounds=40,
+                         seed=seed, fading_std=fading)
+    assert mesh.run(cfg) == _reference_run(cfg)

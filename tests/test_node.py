@@ -20,6 +20,9 @@ def test_policy_defaults_and_validation():
         make_policy(n_tx=0)
     # derived values follow the fields they derive from, also through replace
     assert replace(nd.NodePolicy(n_tx=3, diameter=5), n_tx=5).wait_slots == 15
+    # ... also when the policy replaced has already computed them
+    longer = replace(p, n_tx=5)
+    assert (longer.wait_slots, longer.slots_per_round) == (15, 20)
     one = replace(make_policy(), hop_sequence=(37,))
     assert one == nd.NodePolicy(hop_sequence=(37,))
     # channel_count is accepted only as len(hop_sequence), and not stored
