@@ -5,7 +5,6 @@ from .phy import (
     SampleStream,
     TransmitterSpec,
     add_awgn,
-    beat_frequency,
     envelope_analytic,
     measured_envelope,
     modulate,
@@ -17,9 +16,7 @@ from .models import (
     ber_2ct_equal,
     ber_bfsk,
     bessel_i0,
-    energy_2ct,
     nmax_concurrent,
-    pdr_repeats,
     per_from_ber,
 )
 from .montecarlo import (
@@ -30,23 +27,9 @@ from .montecarlo import (
     run_per_point,
     wilson_ci,
 )
-from .linkmodel import (
-    LinkTable,
-    classify_beating,
-    paper_default_table,
-    reception_probability,
-)
-from .airtime import (
-    BeaconFrame,
-    PhyMode,
-    air_time,
-    decode_beacon,
-    encode_beacon,
-    get_mode,
-    slot_length,
-    symbols_on_air,
-)
+from .linkmodel import LinkTable, paper_default_table, reception_probability
+from .airtime import PhyMode, air_time, get_mode, slot_length, symbols_on_air
 from .node import NodePolicy, NodeState, channel_for, handle_reception, next_action
-from .mesh import SimConfig, Summary, Topology, average_power, duty_cycle_est, run
+from .mesh import SimConfig, Summary, Topology, duty_cycle_est, run
 
 __version__ = "0.1.0"

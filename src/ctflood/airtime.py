@@ -1,4 +1,4 @@
-"""On-air symbol counts, slot budgets, and the flooded beacon frame.
+"""On-air symbol counts and slot budgets.
 
 Covers the four Bluetooth 5 advertising PHYs plus an IEEE 802.15.4 entry.
 Coded modes carry a default 6-byte overhead surcharge so the built-in slot
@@ -9,11 +9,7 @@ standard-exact arithmetic (see symbols_on_air).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-_MEASURED_POWER = 0xC5  # -59 dBm, the customary 1 m calibration byte
-_IBEACON_PDU_LEN = 38
-_MAX_PAYLOAD = 16  # UUID field reused as application payload
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -99,61 +95,3 @@ def slot_length(mode: PhyMode, pdu_len: int, strict: bool = False) -> float:
     """Full scheduled slot: air time + radio setup + guard + padding."""
     return (air_time(mode, pdu_len, strict) + RADIO_SETUP[mode.name] + DEFAULT_GUARD
             + SLOT_PADDING[mode.name])
-
-
-@dataclass(frozen=True)
-class BeaconFrame:
-    """An advertising frame whose major/minor fields carry round and slot."""
-
-    pdu_bytes: bytes
-
-    @property
-    def round(self) -> int:
-        return int.from_bytes(self.pdu_bytes[33:35], "big")
-
-    @property
-    def slot(self) -> int:
-        return int.from_bytes(self.pdu_bytes[35:37], "big")
-
-    @property
-    def payload(self) -> bytes:
-        return self.pdu_bytes[17:33]
-
-
-def encode_beacon(round_no: int, slot: int, payload: bytes = b"") -> BeaconFrame:
-    """Build a 38-byte iBeacon-compatible PDU.
-
-    The 16-byte proximity UUID field is repurposed for the application
-    payload (zero padded); the 16-bit major and minor carry the round and
-    slot counters, big endian.
-    """
-    if not 0 <= round_no <= 0xFFFF or not 0 <= slot <= 0xFFFF:
-        raise ValueError("round and slot must fit 16 bits")
-    if len(payload) > _MAX_PAYLOAD:
-        raise ValueError(f"payload exceeds {_MAX_PAYLOAD} bytes")
-    adv_a = bytes(6)
-    body = bytes(
-        [0x02, 0x01, 0x06]  # flags AD
-        + [0x1A, 0xFF]  # manufacturer-specific AD, length 26
-        + [0x4C, 0x00]  # company id
-        + [0x02, 0x15]  # beacon type and remaining length
-    )
-    body += payload.ljust(_MAX_PAYLOAD, b"\x00")
-    body += round_no.to_bytes(2, "big") + slot.to_bytes(2, "big")
-    body += bytes([_MEASURED_POWER])
-    pdu = bytes([0x02, len(adv_a) + len(body)]) + adv_a + body
-    assert len(pdu) == _IBEACON_PDU_LEN
-    return BeaconFrame(pdu)
-
-
-def decode_beacon(frame: BeaconFrame) -> Tuple[int, int, bytes]:
-    """Validate and unpack a beacon; raises ValueError on malformed frames."""
-    pdu = frame.pdu_bytes
-    if len(pdu) != _IBEACON_PDU_LEN:
-        raise ValueError("unexpected PDU length")
-    if pdu[1] != _IBEACON_PDU_LEN - 2:
-        raise ValueError("bad PDU header length")
-    body = pdu[8:]
-    if body[:9] != bytes([0x02, 0x01, 0x06, 0x1A, 0xFF, 0x4C, 0x00, 0x02, 0x15]):
-        raise ValueError("not a beacon body")
-    return frame.round, frame.slot, frame.payload

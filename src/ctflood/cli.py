@@ -16,7 +16,7 @@ from importlib.metadata import version as pkg_version
 from pathlib import Path
 
 from . import airtime, linkmodel, mesh, models, montecarlo, node
-from .phy import ModulationParams
+from .phy import ModulationParams, noise_variance_per_dim
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,6 +86,8 @@ def cmd_ber(args) -> int:
     points = tuple(round(args.start_db + k * args.step_db, 9) for k in range(n_points))
     if not points:
         raise ValueError("--stop-db is below --start-db")
+    for ebn0 in points:  # reject a point the noise model cannot represent before any runs
+        noise_variance_per_dim(ebn0, mod)
     spec = montecarlo.PhyExperimentSpec(
         mod=mod,
         packet_bits=128,
@@ -117,6 +119,7 @@ def cmd_per(args) -> int:
     _resolve_seed(args)
     linkmodel.check_axes(args.delta_p, args.delta_t, args.beat_ratio)
     mod = _default_mod()
+    noise_variance_per_dim(args.ebn0_db, mod)  # rejects a bad Eb/N0 before any cell runs
     rows = []
     for dp, dt, br in itertools.product(args.delta_p, args.delta_t, args.beat_ratio):
         spec = montecarlo.PhyExperimentSpec(
@@ -204,6 +207,7 @@ def cmd_flood(args) -> int:
 def cmd_calibrate(args) -> int:
     _resolve_seed(args)
     mod = _default_mod()
+    noise_variance_per_dim(args.ebn0_db, mod)  # rejects a bad Eb/N0 before any cell runs
     spec = montecarlo.PhyExperimentSpec(
         mod=mod, packet_bits=args.bits_per_packet, replicas=args.replicas, seed=args.seed,
     )

@@ -97,13 +97,6 @@ def reception_probability(table: LinkTable, key: Tuple[str, bool], delta_p: floa
     return float(total)
 
 
-def classify_beating(t_packet: float, t_beat: float) -> str:
-    """"slow" when the beat period covers the whole packet, else "fast"."""
-    if t_packet <= 0 or t_beat <= 0:
-        raise ValueError("durations must be positive")
-    return "slow" if t_beat >= t_packet else "fast"
-
-
 # ---------------------------------------------------------------------------
 # Built-in default table.
 #

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import node as nd
-from .airtime import DEFAULT_GUARD, PhyMode, air_time, get_mode, slot_length
+from .airtime import DEFAULT_GUARD, MODES, PhyMode, air_time, slot_length
 from .linkmodel import LinkTable, reception_probability
 from .models import jitter_sigma
 
@@ -33,12 +33,13 @@ F_CLOCK = 16e6  # Hz, slot timer clock of every node
 JITTER_STD = jitter_sigma(F_CLOCK)  # seconds, per-hop timing jitter of every node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Directed link gains in dB (-inf = no link) plus per-node carrier offsets.
 
     gains and cfo are read-only copies of the arrays given, so the link
-    lists derived from them below never go stale.
+    lists derived from them below never go stale. A topology, like the
+    SimConfig that holds it, is equal only to itself and hashes by identity.
     """
 
     gains: np.ndarray  # (n, n) dB
@@ -114,20 +115,18 @@ class Topology:
         return np.array(dist)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     topology: Topology
     policy: nd.NodePolicy
     table: LinkTable
-    mode: PhyMode = None
+    mode: PhyMode = MODES["2M"]
     pdu_len: int = 38
     rounds: int = 100
     seed: int = 0
     fading_std: float = 1.0  # dB, per-slot gain perturbation
 
     def __post_init__(self):
-        if self.mode is None:
-            object.__setattr__(self, "mode", get_mode("2M"))
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.fading_std < math.inf:
@@ -289,14 +288,6 @@ def duty_cycle_est(
     r_avg = avg_radio_time(avg_hop_count, guard, air, n_tx)
     on_time = r_avg * (1.0 - per) + wait_slots * air * per
     return on_time / round_period
-
-
-def average_power(
-    avg_hop_count: float, air: float, guard: float, n_tx: int,
-    p_tx: float, p_rx: float,
-) -> float:
-    """Per-round energy proxy: listen share at p_rx, n_tx transmissions at p_tx."""
-    return (avg_hop_count * guard + air) * p_rx + n_tx * air * p_tx
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 _I0_SERIES_LIMIT = 15.0
 _I0_RANGE_LIMIT = 50.0
+_I0_FLAT_LIMIT = 1e17
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def bessel_i0(x: float) -> float:
 
 
 def _i0_scaled(ax: float) -> float:
-    """exp(-|x|) * I0(x); keeps intermediate values small for products."""
+    """exp(-|x|) * I0(x) for x >= 0; finite for every finite x, no range limit."""
     if ax <= _I0_SERIES_LIMIT:
         # sum of (x/2)^(2k) / (k!)^2
         term = 1.0
@@ -63,6 +64,8 @@ def _i0_scaled(ax: float) -> float:
             if term < total * 1e-17:
                 break
         return total * math.exp(-ax)
+    if ax > _I0_FLAT_LIMIT:  # each c_k/(8x)^k below is lost to rounding, and (8x)^k may overflow
+        return 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(ax)
     # asymptotic: I0(x) ~ e^x/sqrt(2 pi x) * sum c_k/(8x)^k, c_k = prod (2j-1)^2 / k!
     total = 1.0
     c = 1.0
@@ -81,19 +84,9 @@ def ber_2ct_equal(ebn0_single) -> float:
     """Beat-period average BER for two equal, aligned, same-data transmitters.
 
     Equals exp(-x) * I0(x) / 2 with x the single-transmitter Eb/N0 ratio;
-    evaluated in scaled form so it stays finite for large x.
+    evaluated in scaled form so it stays finite for every x.
     """
-    x = _as_ratio(ebn0_single)
-    if x > _I0_RANGE_LIMIT:
-        raise ValueError("Eb/N0 ratio outside supported range")
-    return 0.5 * _i0_scaled(x)
-
-
-def energy_2ct(t: float, eb0: float, f_beat: float):
-    """Instantaneous per-bit energy of two beating unit-energy carriers."""
-    import numpy as np
-
-    return 4.0 * eb0 * np.cos(np.pi * f_beat * np.asarray(t, dtype=float)) ** 2
+    return 0.5 * _i0_scaled(_as_ratio(ebn0_single))
 
 
 def per_from_ber(ber: float, length: int) -> float:
@@ -103,15 +96,6 @@ def per_from_ber(ber: float, length: int) -> float:
     if length < 1:
         raise ValueError("length must be at least 1 bit")
     return 1.0 - (1.0 - ber) ** length
-
-
-def pdr_repeats(prr: float, n: int) -> float:
-    """Delivery ratio after n independent repeats of per-try ratio prr."""
-    if not 0.0 <= prr <= 1.0:
-        raise ValueError("prr must be a probability")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 1.0 - (1.0 - prr) ** n
 
 
 def jitter_sigma(f_clock: float) -> float:

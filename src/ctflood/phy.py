@@ -9,15 +9,10 @@ delayed transmitter is head-padded with zeros after generation.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-IQ_MAGIC = b"CTIQ"
-IQ_VERSION = 1
-_IQ_HEADER = struct.Struct("<4sId")  # magic, version, sample_rate
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,10 @@ def noise_variance_per_dim(ebn0_db: float, mod: ModulationParams, ref_amplitude:
         raise ValueError("ebn0_db must be finite or +inf (noiseless)")
     if math.isinf(ebn0_db):
         return 0.0
-    x = 10.0 ** (ebn0_db / 10.0)
-    return ref_amplitude**2 * mod.samples_per_symbol / (2.0 * x)
+    try:
+        return ref_amplitude**2 * mod.samples_per_symbol / (2.0 * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # the linear ratio overflows or underflows to 0
+        raise ValueError(f"ebn0_db={ebn0_db} is beyond the float range as a linear ratio") from None
 
 
 def add_awgn(
@@ -189,34 +186,3 @@ def measured_envelope(stream: SampleStream, window: float) -> np.ndarray:
     mags = np.abs(stream.samples[: n * w]).reshape(n, w).max(axis=1)
     t = (np.arange(n) + 0.5) * w / stream.sample_rate
     return np.column_stack([t, mags])
-
-
-def beat_frequency(cfo_list: Sequence[float]) -> float:
-    """Pairwise beat frequency |f_c1 - f_c2|."""
-    if len(cfo_list) != 2:
-        raise ValueError("beat frequency is defined for exactly two carriers")
-    return abs(cfo_list[0] - cfo_list[1])
-
-
-def dump_iq(stream: SampleStream, path) -> None:
-    """Write little-endian float32 interleaved I/Q with a 16-byte header."""
-    with open(path, "wb") as fh:
-        fh.write(_IQ_HEADER.pack(IQ_MAGIC, IQ_VERSION, stream.sample_rate))
-        iq = np.empty(2 * len(stream), dtype="<f4")
-        iq[0::2] = stream.samples.real
-        iq[1::2] = stream.samples.imag
-        fh.write(iq.tobytes())
-
-
-def load_iq(path) -> SampleStream:
-    with open(path, "rb") as fh:
-        header = fh.read(_IQ_HEADER.size)
-        if len(header) != _IQ_HEADER.size:
-            raise ValueError("truncated IQ file")
-        magic, version, fs = _IQ_HEADER.unpack(header)
-        if magic != IQ_MAGIC or version != IQ_VERSION:
-            raise ValueError("not a CTIQ v1 file")
-        iq = np.frombuffer(fh.read(), dtype="<f4")
-    if iq.size % 2:
-        raise ValueError("odd number of IQ values")
-    return SampleStream(iq[0::2].astype(float) + 1j * iq[1::2].astype(float), fs)

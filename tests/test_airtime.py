@@ -1,17 +1,6 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ctflood.airtime import (
-    BeaconFrame,
-    MODES,
-    air_time,
-    decode_beacon,
-    encode_beacon,
-    get_mode,
-    slot_length,
-    symbols_on_air,
-)
+from ctflood.airtime import MODES, air_time, get_mode, slot_length, symbols_on_air
 
 PDU = 38
 
@@ -81,42 +70,3 @@ def test_airtime_mode_ordering():
     for n in (1, 38, 255):
         times = [air_time(get_mode(m), n) for m in ("2M", "1M", "500K", "125K")]
         assert all(a < b for a, b in zip(times, times[1:]))
-
-
-def test_beacon_layout():
-    frame = encode_beacon(0, 0)
-    assert len(frame.pdu_bytes) == 38
-    assert decode_beacon(frame) == (0, 0, bytes(16))
-    frame = encode_beacon(7, 3, b"abc")
-    r, s, payload = decode_beacon(frame)
-    assert (r, s) == (7, 3)
-    assert payload.rstrip(b"\x00") == b"abc"
-    # company id and beacon type bytes of the canonical layout
-    assert frame.pdu_bytes[13:17] == bytes([0x4C, 0x00, 0x02, 0x15])
-
-
-@given(
-    r=st.integers(0, 0xFFFF),
-    s=st.integers(0, 0xFFFF),
-    payload=st.binary(max_size=16),
-)
-@settings(max_examples=100, deadline=None)
-def test_beacon_roundtrip(r, s, payload):
-    got_r, got_s, got_p = decode_beacon(encode_beacon(r, s, payload))
-    assert got_r == r and got_s == s
-    assert got_p == payload.ljust(16, b"\x00")
-
-
-def test_beacon_rejects_bad_input():
-    with pytest.raises(ValueError):
-        encode_beacon(-1, 0)
-    with pytest.raises(ValueError):
-        encode_beacon(0, 1 << 16)
-    with pytest.raises(ValueError):
-        encode_beacon(0, 0, bytes(17))
-    with pytest.raises(ValueError):
-        decode_beacon(BeaconFrame(bytes(10)))
-    good = encode_beacon(1, 2).pdu_bytes
-    corrupted = bytes([good[0], good[1] ^ 0xFF]) + good[2:]
-    with pytest.raises(ValueError):
-        decode_beacon(BeaconFrame(corrupted))

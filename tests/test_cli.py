@@ -144,6 +144,24 @@ def test_ber_sub_sweep_reproduces_its_rows(tmp_path):
         assert rows["4"][db] == rows["0"][db]
 
 
+def test_ber_above_17_db(tmp_path):
+    assert cli.main(["ber", "--out", str(tmp_path), "--seed", "5", "--start-db", "16",
+                     "--stop-db", "18", "--bits", "12800"]) == 0
+    _, rows = read_csv(tmp_path / "ber.csv")
+    assert [r["ebn0_db"] for r in rows] == ["16.0", "17.0", "18.0"]
+    for r in rows:
+        x = 10 ** (float(r["ebn0_db"]) / 10)
+        assert float(r["ber_analytic_2ct"]) == pytest.approx(ber_2ct_equal(x), abs=1e-12)
+
+
+def test_ber_checks_every_point_before_the_first_runs(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(montecarlo, "run_ber_point", lambda spec, ebn0: ran.append(ebn0))
+    assert cli.main(["ber", "--out", str(tmp_path), "--seed", "1", "--start-db", "3000",
+                     "--stop-db", "4000", "--step-db", "1000"]) == cli.EXIT_INPUT
+    assert ran == [] and not list(tmp_path.glob("*.csv"))
+
+
 def test_per_cell_alone_equals_its_row_in_a_grid(tmp_path):
     common = ["--seed", "4", "--replicas", "300", "--ebn0-db", "10"]
     assert cli.main(["per", "--out", str(tmp_path / "grid"), "--delta-p", "0,1",
@@ -192,6 +210,10 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["per", "--delta-t", "0.5,0.25"],
     ["ber", "--start-db", "nan"],
     ["ber", "--stop-db", "inf"],
+    ["ber", "--start-db", "4000", "--stop-db", "4000"],
+    ["per", "--ebn0-db", "4000"],
+    ["calibrate", "--ebn0-db", "4000"],
+    ["per", "--ebn0-db=-4000"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ctflood.linkmodel import (
     LinkTable,
-    classify_beating,
     dumps_table,
     load_table,
     loads_table,
@@ -144,14 +143,6 @@ def test_lookup_equals_the_searchsorted_lookup_exactly():
                 for br in probes(TABLE.br_axis):
                     got = reception_probability(TABLE, key, dp, dt, br)
                     assert got == _searchsorted_probability(TABLE, key, dp, dt, br)
-
-
-def test_classify_beating():
-    assert classify_beating(0.368e-3, 40e-3) == "slow"
-    assert classify_beating(0.368e-3, 0.10e-3) == "fast"
-    assert classify_beating(1.0, 1.0) == "slow"
-    with pytest.raises(ValueError):
-        classify_beating(0.0, 1.0)
 
 
 def test_missing_mode_rejected():

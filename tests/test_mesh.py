@@ -55,6 +55,9 @@ def test_topology_and_config_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.rounds = 5
     assert cfg.mode.name == "2M"
+    # equality and hashing are by identity: no element-wise array comparison
+    assert topo == topo and topo != mesh.Topology(topo.gains, topo.cfo)
+    assert hash(topo) == hash(topo) and cfg in {cfg}
 
 
 def test_two_nodes_perfect_link():
@@ -140,16 +143,6 @@ def test_duty_cycle_formula():
     assert dc * 100 == pytest.approx(0.42, abs=0.01)
     dc2 = mesh.duty_cycle_est(2.5, 0.001, 0.188e-3, 0.032e-3, 3, 13, 1.0)
     assert dc2 * 100 == pytest.approx(0.08, abs=0.01)
-
-
-def test_average_power():
-    assert mesh.average_power(2.5, 0.188e-3, 0.032e-3, 3, 0.0, 0.0) == 0.0
-    # no retransmissions leaves only the listening term
-    assert mesh.average_power(2.0, 1e-3, 1e-4, 0, 0.5, 2.0) == pytest.approx(
-        (2.0 * 1e-4 + 1e-3) * 2.0
-    )
-    got = mesh.average_power(2.5, 0.188e-3, 0.032e-3, 3, 1.0, 1.0)
-    assert got == pytest.approx(0.832e-3, abs=1e-9)
 
 
 def test_resolve_slot_paths():

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import special
 
 from ctflood.models import (
     Ebn0,
@@ -12,10 +13,8 @@ from ctflood.models import (
     ber_bfsk,
     ber_crossover_ratio,
     bessel_i0,
-    energy_2ct,
     jitter_sigma,
     nmax_concurrent,
-    pdr_repeats,
     per_from_ber,
 )
 
@@ -46,6 +45,12 @@ def test_bessel_i0_against_scipy(x):
     assert bessel_i0(x) == pytest.approx(float(special.i0(x)), rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [50.0, 63.0, 100.0, 1e3, 1e5, 1e30, 1e300, sys.float_info.max])
+def test_ber_2ct_equal_against_scipy_i0e(x):
+    # ber_2ct_equal = i0e(x) / 2 has no upper range limit, unlike bessel_i0
+    assert ber_2ct_equal(x) == pytest.approx(0.5 * float(special.i0e(x)), rel=1e-14)
+
+
 def test_bessel_i0_even_and_ranged():
     for x in (0.3, 2.0, 14.9, 25.0):
         assert bessel_i0(-x) == pytest.approx(bessel_i0(x), rel=1e-12)
@@ -73,14 +78,6 @@ def test_crossover_location_and_sign():
     assert math.exp(-root / 2) * bessel_i0(root) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_energy_2ct_peak_fade_mean():
-    eb0, fb = 2.0, 1e3
-    assert energy_2ct(0.0, eb0, fb) == pytest.approx(4 * eb0)
-    assert energy_2ct(1 / (2 * fb), eb0, fb) == pytest.approx(0.0, abs=1e-9)
-    mean, _ = integrate.quad(lambda t: float(energy_2ct(t, eb0, fb)), 0, 1 / fb)
-    assert mean * fb == pytest.approx(2 * eb0, rel=1e-9)
-
-
 def test_per_from_ber():
     assert per_from_ber(0.0, 1000) == 0.0
     assert per_from_ber(1.0, 5) == 1.0
@@ -100,23 +97,6 @@ def test_per_monotone(ber, length):
     if a < 0.999999:  # strict until float saturation
         assert b > a
     assert per_from_ber(min(ber * 1.01, 1.0), length) >= a
-
-
-def test_pdr_repeats():
-    assert pdr_repeats(0.5, 1) == 0.5
-    assert pdr_repeats(0.5, 3) == pytest.approx(0.875)
-    assert pdr_repeats(1.0, 7) == 1.0
-    with pytest.raises(ValueError):
-        pdr_repeats(0.5, 0)
-
-
-@given(prr=st.floats(0.01, 0.99), n=st.integers(1, 20))
-@settings(max_examples=50, deadline=None)
-def test_pdr_monotone_in_repeats(prr, n):
-    a, b = pdr_repeats(prr, n), pdr_repeats(prr, n + 1)
-    assert b >= a
-    if a < 0.999999:  # strict until float saturation
-        assert b > a
 
 
 def test_nmax_concurrent():

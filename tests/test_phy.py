@@ -10,10 +10,7 @@ from ctflood.phy import (
     SampleStream,
     TransmitterSpec,
     add_awgn,
-    beat_frequency,
-    dump_iq,
     envelope_analytic,
-    load_iq,
     measured_envelope,
     modulate,
     noise_variance_per_dim,
@@ -228,31 +225,3 @@ def test_measured_envelope_window_bounds():
         measured_envelope(s, window=0.0)
     with pytest.raises(ValueError):
         measured_envelope(s, window=s.duration)
-
-
-def test_beat_frequency():
-    assert beat_frequency([-8580.0, -6750.0]) == pytest.approx(1830.0)
-    assert 1.0 / beat_frequency([-8580.0, -6750.0]) == pytest.approx(0.55e-3, rel=0.01)
-    assert beat_frequency([-18250.0, -8580.0]) == pytest.approx(9670.0)
-    assert beat_frequency([440.0, 440.0]) == 0.0
-    with pytest.raises(ValueError):
-        beat_frequency([1.0, 2.0, 3.0])
-
-
-def test_iq_dump_roundtrip(tmp_path):
-    s = modulate([1, 0, 1, 1], MOD, TransmitterSpec(cfo=3e3, phase=0.4))
-    path = tmp_path / "sig.iq"
-    dump_iq(s, path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"CTIQ"
-    assert len(raw) == 16 + 8 * len(s)
-    back = load_iq(path)
-    assert back.sample_rate == s.sample_rate
-    np.testing.assert_allclose(back.samples, s.samples, atol=1e-6)
-
-
-def test_iq_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.iq"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(ValueError):
-        load_iq(path)
