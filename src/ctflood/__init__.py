@@ -1,5 +1,7 @@
 """Concurrent-transmission BFSK link models and a slotted flooding simulator."""
 
+__version__ = "0.1.0"  # every CSV manifest's tool_version; a test keeps pyproject.toml equal
+
 from .phy import (
     ModulationParams,
     SampleStream,
@@ -12,7 +14,6 @@ from .phy import (
 )
 from .rx import count_bit_errors, demodulate
 from .models import (
-    Ebn0,
     ber_2ct_equal,
     ber_bfsk,
     bessel_i0,
@@ -31,5 +32,3 @@ from .linkmodel import LinkTable, paper_default_table, reception_probability
 from .airtime import PhyMode, air_time, get_mode, slot_length, symbols_on_air
 from .node import NodePolicy, NodeState, channel_for, handle_reception, next_action
 from .mesh import SimConfig, Summary, Topology, duty_cycle_est, run
-
-__version__ = "0.1.0"

@@ -14,13 +14,15 @@ from typing import Dict
 
 @dataclass(frozen=True)
 class PhyMode:
-    """Radio mode constants: rate, framing overheads, FEC expansion."""
+    """Radio mode constants: rate, framing overheads, FEC expansion, slot budget."""
 
     name: str
     symbol_rate: float  # modulation symbols per second
     bit_period: float  # seconds per payload bit after FEC
     preamble_bytes: int
     fec: int  # coded expansion factor S (1 = uncoded)
+    radio_setup: float  # seconds, fitted radio ramp-up/processing per slot
+    slot_padding: float  # seconds, fitted residual between air time and the full slot
     extra_overhead_bytes: int = 0
 
     @property
@@ -29,28 +31,16 @@ class PhyMode:
 
 
 MODES: Dict[str, PhyMode] = {
-    "2M": PhyMode("2M", 2e6, 0.5e-6, preamble_bytes=2, fec=1),
-    "1M": PhyMode("1M", 1e6, 1e-6, preamble_bytes=1, fec=1),
-    "500K": PhyMode("500K", 1e6, 2e-6, preamble_bytes=10, fec=2, extra_overhead_bytes=6),
-    "125K": PhyMode("125K", 1e6, 8e-6, preamble_bytes=10, fec=8, extra_overhead_bytes=6),
-    "802154": PhyMode("802154", 62.5e3, 4e-6, preamble_bytes=4, fec=1),
-}
-
-# Fitted per-mode slot constants (seconds): radio ramp-up/processing and
-# residual padding observed between air time and the full scheduled slot.
-RADIO_SETUP = {
-    "2M": 170e-6,
-    "1M": 154e-6,
-    "500K": 116e-6,
-    "125K": 195e-6,
-    "802154": 328e-6,
-}
-SLOT_PADDING = {
-    "2M": 11.6e-6,
-    "1M": 16.5e-6,
-    "500K": 80e-6,
-    "125K": 80e-6,
-    "802154": 67e-6,
+    "2M": PhyMode("2M", 2e6, 0.5e-6, preamble_bytes=2, fec=1,
+                  radio_setup=170e-6, slot_padding=11.6e-6),
+    "1M": PhyMode("1M", 1e6, 1e-6, preamble_bytes=1, fec=1,
+                  radio_setup=154e-6, slot_padding=16.5e-6),
+    "500K": PhyMode("500K", 1e6, 2e-6, preamble_bytes=10, fec=2,
+                    radio_setup=116e-6, slot_padding=80e-6, extra_overhead_bytes=6),
+    "125K": PhyMode("125K", 1e6, 8e-6, preamble_bytes=10, fec=8,
+                    radio_setup=195e-6, slot_padding=80e-6, extra_overhead_bytes=6),
+    "802154": PhyMode("802154", 62.5e3, 4e-6, preamble_bytes=4, fec=1,
+                      radio_setup=328e-6, slot_padding=67e-6),
 }
 DEFAULT_GUARD = 32e-6
 
@@ -93,5 +83,5 @@ def air_time(mode: PhyMode, pdu_len: int, strict: bool = False) -> float:
 
 def slot_length(mode: PhyMode, pdu_len: int, strict: bool = False) -> float:
     """Full scheduled slot: air time + radio setup + guard + padding."""
-    return (air_time(mode, pdu_len, strict) + RADIO_SETUP[mode.name] + DEFAULT_GUARD
-            + SLOT_PADDING[mode.name])
+    return (air_time(mode, pdu_len, strict) + mode.radio_setup + DEFAULT_GUARD
+            + mode.slot_padding)

@@ -12,10 +12,9 @@ import itertools
 import math
 import secrets
 import sys
-from importlib.metadata import version as pkg_version
 from pathlib import Path
 
-from . import airtime, linkmodel, mesh, models, montecarlo, node
+from . import __version__, airtime, linkmodel, mesh, models, montecarlo, node
 from .phy import ModulationParams, noise_variance_per_dim
 
 EXIT_OK = 0
@@ -23,17 +22,10 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-MODE_CHOICES = ["2m", "1m", "500k", "125k", "802154"]
+MODE_CHOICES = [name.lower() for name in airtime.MODES]
 # The Monte Carlo kernel simulates uncoded BFSK, whose table coordinates are
 # in bit periods and so do not depend on the bit rate: 1M and 2M share one table.
 CALIBRATE_MODES = ["1m", "2m"]
-
-
-def _tool_version() -> str:
-    try:
-        return pkg_version("ctflood")
-    except Exception:
-        return "unknown"
 
 
 def _manifest_lines(args, sub: str):
@@ -43,7 +35,7 @@ def _manifest_lines(args, sub: str):
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     ]
-    return [f"tool_version={_tool_version()}", f"subcommand={sub}"] + pairs
+    return [f"tool_version={__version__}", f"subcommand={sub}"] + pairs
 
 
 def _open_out(args, name: str):
@@ -99,7 +91,7 @@ def cmd_ber(args) -> int:
     rows = []
     for ebn0 in points:
         est = montecarlo.run_ber_point(spec, ebn0)
-        x = models.Ebn0.from_db(ebn0)
+        x = 10.0 ** (ebn0 / 10.0)
         rows.append([
             ebn0,
             models.ber_bfsk(x),
@@ -119,7 +111,6 @@ def cmd_per(args) -> int:
     _resolve_seed(args)
     linkmodel.check_axes(args.delta_p, args.delta_t, args.beat_ratio)
     mod = _default_mod()
-    noise_variance_per_dim(args.ebn0_db, mod)  # rejects a bad Eb/N0 before any cell runs
     rows = []
     for dp, dt, br in itertools.product(args.delta_p, args.delta_t, args.beat_ratio):
         spec = montecarlo.PhyExperimentSpec(
@@ -149,8 +140,7 @@ def cmd_per(args) -> int:
 
 def cmd_airtime(args) -> int:
     rows = []
-    for name in ["2M", "1M", "500K", "125K", "802154"]:
-        mode = airtime.get_mode(name)
+    for name, mode in airtime.MODES.items():
         symbols = airtime.symbols_on_air(mode, args.pdu_len, strict=args.strict_ble)
         air_ms = airtime.air_time(mode, args.pdu_len, strict=args.strict_ble) * 1e3
         slot_ms = airtime.slot_length(mode, args.pdu_len, strict=args.strict_ble) * 1e3
@@ -188,8 +178,8 @@ def cmd_flood(args) -> int:
     _write_csv(
         _open_out(args, "flood_rounds.csv"),
         ["round", "success", "active_slots"] + [f"first_slot_{v}" for v in listeners],
-        [[m.round_no, int(m.success), m.active_slots]
-         + [m.first_slot[v] or "" for v in listeners] for m in log],
+        [[r, int(m.success), m.active_slots]
+         + [m.first_slot[v] or "" for v in listeners] for r, m in enumerate(log)],
         manifest,
     )
     _write_csv(
@@ -206,17 +196,18 @@ def cmd_flood(args) -> int:
 
 def cmd_calibrate(args) -> int:
     _resolve_seed(args)
-    mod = _default_mod()
-    noise_variance_per_dim(args.ebn0_db, mod)  # rejects a bad Eb/N0 before any cell runs
     spec = montecarlo.PhyExperimentSpec(
-        mod=mod, packet_bits=args.bits_per_packet, replicas=args.replicas, seed=args.seed,
+        mod=_default_mod(), packet_bits=args.bits_per_packet, replicas=args.replicas,
+        seed=args.seed,
     )
     table = montecarlo.calibrate_link_table(
         spec, args.mode.upper(), args.delta_p, args.delta_t, args.beat_ratio,
         ebn0_db=args.ebn0_db,
     )
     path = _open_out(args, "link_table.csv")
-    linkmodel.save_table(table, path)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in _manifest_lines(args, "calibrate"))
+        fh.write(linkmodel.dumps_table(table))
     print(path)
     return EXIT_OK
 

@@ -286,11 +286,6 @@ def loads_table(text: str) -> LinkTable:
     return LinkTable(dp_axis, dt_axis, br_axis, tables, provenance)
 
 
-def save_table(table: LinkTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_table(table))
-
-
 def load_table(path) -> LinkTable:
     with open(path) as fh:
         return loads_table(fh.read())

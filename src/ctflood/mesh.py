@@ -143,10 +143,13 @@ class SimConfig:
 
 @dataclass
 class RoundMetrics:
-    round_no: int
     first_slot: Dict[int, Optional[int]]  # 1-based reception ordinal, None if missed
-    success: bool
     active_slots: int
+
+    @property
+    def success(self) -> bool:
+        """Every node other than the initiator received in this round."""
+        return all(fs is not None for fs in self.first_slot.values())
 
 
 @dataclass
@@ -243,8 +246,7 @@ def run(cfg: SimConfig) -> Tuple[Summary, List[RoundMetrics]]:
 
         first_slot = {v: None if st.rx_slot is None else st.rx_slot + 1
                       for v, st in enumerate(states) if not st.is_initiator}
-        success = all(fs is not None for fs in first_slot.values())
-        rounds_log.append(RoundMetrics(r, first_slot, success, active))
+        rounds_log.append(RoundMetrics(first_slot, active))
         states = [nd.round_end(st, policy, rng) for st in states]
 
     return summarize(cfg, rounds_log), rounds_log

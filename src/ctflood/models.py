@@ -3,36 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _I0_SERIES_LIMIT = 15.0
 _I0_RANGE_LIMIT = 50.0
 _I0_FLAT_LIMIT = 1e17
 
 
-@dataclass(frozen=True)
-class Ebn0:
-    """Per-bit SNR as a linear ratio, with dB helpers."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("Eb/N0 ratio must be non-negative")
-
-    @classmethod
-    def from_db(cls, db: float) -> "Ebn0":
-        return cls(10.0 ** (db / 10.0))
-
-    def to_db(self) -> float:
-        if self.value == 0:
-            return float("-inf")
-        return 10.0 * math.log10(self.value)
-
-
-def _as_ratio(ebn0) -> float:
-    if isinstance(ebn0, Ebn0):
-        return ebn0.value
+def _as_ratio(ebn0: float) -> float:
     x = float(ebn0)
     if x < 0:
         raise ValueError("Eb/N0 ratio must be non-negative")

@@ -50,13 +50,12 @@ class ModulationParams:
 
 @dataclass(frozen=True)
 class TransmitterSpec:
-    """One concurrent transmitter: amplitude, CFO, delay, phase, data."""
+    """One concurrent transmitter: amplitude, CFO, delay, phase."""
 
     amplitude: float = 1.0
     cfo: float = 0.0
     time_offset: float = 0.0
     phase: Optional[float] = None  # None: drawn uniformly in [0, 2*pi)
-    bits: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -87,8 +86,6 @@ def modulate(bits, mod: ModulationParams, tx: TransmitterSpec, rng=None) -> Samp
     transmitter's CFO. A non-zero time_offset is rounded to the sample
     grid and realized as zero-padding at the head.
     """
-    if bits is None:
-        bits = tx.bits
     bits = np.asarray(bits, dtype=np.int8)
     if bits.ndim != 1 or bits.size == 0:
         raise ValueError("bits must be a non-empty 1-D sequence")
@@ -137,18 +134,21 @@ def noise_variance_per_dim(ebn0_db: float, mod: ModulationParams, ref_amplitude:
 
     The per-bit energy reference is E_b0 = ref_amplitude^2 * T_S / 2 (one
     unmodified transmitter); the variance is N_0 * sample_rate, i.e.
-    ref_amplitude^2 * samples_per_symbol / (2 * ebn0_linear).
+    ref_amplitude^2 * samples_per_symbol / (2 * ebn0_linear). This is the
+    one Eb/N0 check: +inf dB is noiseless (0.0), and ValueError is raised
+    whenever the variance is not a finite float, which accepts about -3073
+    to +3082 dB.
     """
     if ref_amplitude <= 0:
         raise ValueError("ref_amplitude must be positive")
-    if math.isnan(ebn0_db) or ebn0_db == -math.inf:
-        raise ValueError("ebn0_db must be finite or +inf (noiseless)")
-    if math.isinf(ebn0_db):
-        return 0.0
     try:
-        return ref_amplitude**2 * mod.samples_per_symbol / (2.0 * 10.0 ** (ebn0_db / 10.0))
+        var = ref_amplitude**2 * mod.samples_per_symbol / (2.0 * 10.0 ** (ebn0_db / 10.0))
     except (OverflowError, ZeroDivisionError):  # the linear ratio overflows or underflows to 0
-        raise ValueError(f"ebn0_db={ebn0_db} is beyond the float range as a linear ratio") from None
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(f"ebn0_db={ebn0_db} gives no finite noise variance; "
+                         "accepted: about -3073 to +3082 dB, or +inf for noiseless")
+    return var
 
 
 def add_awgn(

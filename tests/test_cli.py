@@ -1,9 +1,11 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctflood
 from ctflood import cli, linkmodel, montecarlo
 from ctflood.linkmodel import load_table
 from ctflood.models import ber_2ct_equal, ber_bfsk
@@ -214,10 +216,38 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["per", "--ebn0-db", "4000"],
     ["calibrate", "--ebn0-db", "4000"],
     ["per", "--ebn0-db=-4000"],
+    ["ber", "--start-db=-3100", "--stop-db=-3100"],
+    ["per", "--ebn0-db=-3200"],
+    ["calibrate", "--ebn0-db=-3100"],
 ])
-def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
+def test_bad_monte_carlo_input_exit_code(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["per", "calibrate"])
+@pytest.mark.parametrize("ebn0_db", ["nan", "-3074", "4000"])
+def test_bad_ebn0_simulates_no_packet(tmp_path, monkeypatch, command, ebn0_db):
+    # the noise model's check runs before a cell's first draw, with no CLI pre-check
+    calls = []
+    monkeypatch.setattr(montecarlo, "_correlate", lambda *a: calls.append(a))
+    assert cli.main([command, f"--ebn0-db={ebn0_db}", "--out", str(tmp_path),
+                     "--seed", "1"]) == cli.EXIT_INPUT
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--start-db=-3073", "--stop-db=-3073", "--bits", "12800"],
+    ["per", "--ebn0-db=-3073"],
+    ["calibrate", "--ebn0-db=-3073"],
+])
+def test_lowest_accepted_ebn0_runs(tmp_path, argv):
+    grid = [] if argv[0] == "ber" else ["--replicas", "100", "--delta-p", "0",
+                                        "--delta-t", "0", "--beat-ratio", "1"]
+    with np.errstate(over="ignore"):  # branch energies this far below 0 dB overflow to inf
+        assert cli.main(argv + grid + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
+    assert len(list(tmp_path.glob("*.csv"))) == 1
 
 
 @pytest.mark.parametrize("edges_text, nodes_text, table_text, flags", [
@@ -236,12 +266,19 @@ def test_bad_monte_carlo_input_exit_code(tmp_path, argv):
                  id="repeated-edge"),
     pytest.param(None, "id,cfo_hz,is_initiator\n0,0,0\n1,2000,7\n2,-4000,0\n", None, [],
                  id="initiator-flag-7"),
+    pytest.param(None, None, None, ["--rounds", "0"], id="rounds-0"),
+    pytest.param(None, "", None, [], id="empty-node-file"),
+    pytest.param(None, "id,cfo_hz,is_initiator\n", None, [], id="node-header-only"),
+    pytest.param(None, "id,cfo_hz,is_initiator\n0,0,1\n1,2000,0\n3,-4000,0\n", None, [],
+                 id="node-ids-gap"),
+    pytest.param(None, None, "2M,1,0.0,0.0,1.0,1.0\n2M,1,0.0,0.0,2.0,1.0\n"
+                 "2M,1,1.0,0.0,1.0,1.0\n", [], id="link-table-incomplete-grid"),
 ])
 def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, table_text, flags):
     edges, nodes = write_topology(tmp_path)
-    if edges_text:
+    if edges_text is not None:
         edges.write_text(edges_text)
-    if nodes_text:
+    if nodes_text is not None:
         nodes.write_text(nodes_text)
     if table_text:
         table = tmp_path / "table.csv"
@@ -335,15 +372,29 @@ def test_calibrate_roundtrip(tmp_path):
         "--beat-ratio", "0.1,1",
     ])
     assert rc == 0
+    # the table carries the manifest every other CSV carries, then its provenance
+    manifest = manifest_lines(tmp_path / "link_table.csv")
+    assert manifest[:2] == [f"# tool_version={ctflood.__version__}", "# subcommand=calibrate"]
+    assert "# replicas=150" in manifest and "# source=monte-carlo-calibration" in manifest
     table = load_table(tmp_path / "link_table.csv")
     assert table.provenance["seed"] == "9"
+    assert table.provenance["subcommand"] == "calibrate"
     assert list(table.dp_axis) == [0.0, 8.0]
     assert list(table.br_axis) == [0.1, 1.0]
     # parse(emit(x)) = x
     from ctflood.linkmodel import dumps_table, loads_table
     again = loads_table(dumps_table(table))
+    assert again.provenance == table.provenance
     for key in table.tables:
         np.testing.assert_array_equal(again.tables[key], table.tables[key])
+
+
+def test_version_has_one_source(tmp_path):
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert ctflood.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+    assert cli.main(["airtime", "--out", str(tmp_path)]) == 0
+    assert f"# tool_version={ctflood.__version__}" in manifest_lines(tmp_path / "airtime.csv")
 
 
 def test_seed_printed_when_omitted(tmp_path, capsys):
@@ -372,4 +423,14 @@ def test_config_file_defaults_and_precedence(tmp_path):
     # unreadable config file
     with pytest.raises(SystemExit) as exc:
         cli.main(["--config", str(tmp_path / "nope.cfg"), "airtime"])
+    assert exc.value.code == cli.EXIT_INPUT
+    # comment and blank lines are skipped
+    cfg.write_text("# airtime defaults\n\n   \npdu-len=100\n")
+    assert cli.main(["--config", str(cfg), "airtime", "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "airtime.csv")
+    assert {r["mode"]: int(r["symbols"]) for r in rows}["1M"] == 8 * (1 + 4 + 100 + 3)
+    # a line without '='
+    cfg.write_text("pdu-len 100\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "airtime", "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_INPUT

@@ -12,7 +12,6 @@ from ctflood.linkmodel import (
     loads_table,
     paper_default_table,
     reception_probability,
-    save_table,
 )
 
 TABLE = paper_default_table()
@@ -174,7 +173,7 @@ def test_csv_roundtrip_exact(tmp_path):
         np.testing.assert_array_equal(back.tables[key], TABLE.tables[key])
     assert back.provenance == TABLE.provenance
     path = tmp_path / "table.csv"
-    save_table(TABLE, path)
+    path.write_text(dumps_table(TABLE))
     again = load_table(path)
     np.testing.assert_array_equal(again.tables[("1M", True)], TABLE.tables[("1M", True)])
 

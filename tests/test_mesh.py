@@ -324,8 +324,7 @@ def _reference_run(cfg):
                     states[v] = nd.handle_reception(states[v], r, s)
         first_slot = {v: None if st.rx_slot is None else st.rx_slot + 1
                       for v, st in enumerate(states) if not st.is_initiator}
-        success = all(fs is not None for fs in first_slot.values())
-        log.append(mesh.RoundMetrics(r, first_slot, success, active))
+        log.append(mesh.RoundMetrics(first_slot, active))
         states = [nd.round_end(st, policy, rng) for st in states]
     return mesh.summarize(cfg, log), log
 

@@ -187,6 +187,17 @@ def test_awgn_variance_calibration():
     assert got_im == pytest.approx(want, rel=0.01)
 
 
+def test_noise_variance_is_the_one_ebn0_rule():
+    assert noise_variance_per_dim(math.inf, MOD) == 0.0
+    assert math.isfinite(noise_variance_per_dim(-3073.0, MOD))
+    assert math.isfinite(noise_variance_per_dim(3082.0, MOD))
+    # NaN, -inf, a linear ratio that overflows, underflows to 0 or is so
+    # small that the variance overflows: no finite variance
+    for db in (math.nan, -math.inf, 3083.0, -4000.0, -3233.0, -3100.0, -3074.0):
+        with pytest.raises(ValueError, match="no finite noise variance"):
+            noise_variance_per_dim(db, MOD)
+
+
 def test_envelope_analytic_cases():
     assert envelope_analytic(2.0, 0.0, 1e3, 0.123) == pytest.approx(2.0)
     assert envelope_analytic(1.0, 1.0, 1e3, 0.0) == pytest.approx(2.0)
