@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import secrets
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, airtime, linkmodel, mesh, models, montecarlo, node
 from .phy import ModulationParams, noise_variance_per_dim
@@ -109,25 +111,18 @@ def cmd_ber(args) -> int:
 
 def cmd_per(args) -> int:
     _resolve_seed(args)
-    linkmodel.check_axes(args.delta_p, args.delta_t, args.beat_ratio)
-    mod = _default_mod()
+    spec = montecarlo.PhyExperimentSpec(
+        mod=_default_mod(), packet_bits=args.bits_per_packet,
+        same_data=not args.different_data, replicas=args.replicas, seed=args.seed,
+    )
+    failures = montecarlo.count_grid(spec, args.ebn0_db, args.delta_p, args.delta_t,
+                                     args.beat_ratio)
     rows = []
-    for dp, dt, br in itertools.product(args.delta_p, args.delta_t, args.beat_ratio):
-        spec = montecarlo.PhyExperimentSpec(
-            mod=mod,
-            packet_bits=args.bits_per_packet,
-            power_delta=dp,
-            time_delta=dt,
-            beat_ratio=br,
-            same_data=not args.different_data,
-            replicas=args.replicas,
-            seed=args.seed,
-        )
-        est = montecarlo.run_per_point(spec, args.ebn0_db)
-        failures = round(est.point * est.n_trials)
+    for (i, j, l), k in np.ndenumerate(failures):
+        est = montecarlo.estimate(int(k), spec.replicas)
         rows.append([
-            "1M", int(not args.different_data), dp, dt, br,
-            args.ebn0_db, est.n_trials, failures, est.point,
+            "1M", int(spec.same_data), args.delta_p[i], args.delta_t[j], args.beat_ratio[l],
+            args.ebn0_db, spec.replicas, int(k), est.point,
             est.ci_low, est.ci_high, args.seed,
         ])
     path = _open_out(args, "per.csv")
@@ -200,10 +195,19 @@ def cmd_calibrate(args) -> int:
         mod=_default_mod(), packet_bits=args.bits_per_packet, replicas=args.replicas,
         seed=args.seed,
     )
-    table = montecarlo.calibrate_link_table(
-        spec, args.mode.upper(), args.delta_p, args.delta_t, args.beat_ratio,
-        ebn0_db=args.ebn0_db,
-    )
+    axes = (args.delta_p, args.delta_t, args.beat_ratio)
+    # 1 - PER per cell, for the same and for different payloads
+    tables = {
+        (args.mode.upper(), same):
+            1.0 - montecarlo.count_grid(replace(spec, same_data=same), args.ebn0_db, *axes)
+            / spec.replicas
+        for same in (True, False)
+    }
+    table = linkmodel.LinkTable(*axes, tables, provenance={
+        "source": "monte-carlo-calibration", "seed": str(spec.seed),
+        "replicas": str(spec.replicas), "packet_bits": str(spec.packet_bits),
+        "ebn0_db": str(args.ebn0_db),
+    })
     path = _open_out(args, "link_table.csv")
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in _manifest_lines(args, "calibrate"))

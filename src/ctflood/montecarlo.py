@@ -36,10 +36,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .phy import ModulationParams, noise_variance_per_dim
-from .linkmodel import LinkTable, check_axes
+from .linkmodel import check_axes
 
 CHUNK_PACKETS = 2000
-CONFIDENCE = 0.99  # of the Wilson intervals that run_ber_point and run_per_point report
+CONFIDENCE = 0.99  # of the Wilson intervals that estimate reports
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class EstimateWithCI:
 
 
 def wilson_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, exactly 0 at k = 0 and 1 at k = n."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -111,13 +111,15 @@ def wilson_ci(k: int, n: int, confidence: float = 0.95) -> Tuple[float, float]:
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if k == 0 else max(0.0, center - half)
+    hi = 1.0 if k == n else min(1.0, center + half)
+    return lo, hi
 
 
-def _estimate(k: int, n: int) -> EstimateWithCI:
+def estimate(k: int, n: int) -> EstimateWithCI:
+    """k of n trials, as the proportion k/n with its Wilson interval at CONFIDENCE."""
     lo, hi = wilson_ci(k, n, CONFIDENCE)
-    p = k / n
-    return EstimateWithCI(min(max(p, lo), hi), lo, hi, n)
+    return EstimateWithCI(k / n, lo, hi, n)
 
 
 class _BranchTables:
@@ -213,10 +215,17 @@ def _simulate_chunk(
         rel_phase = np.exp(1j * (rng.uniform(0.0, 2 * np.pi, n_packets) - phase1))
     c = _correlate(spec._tables, bits1, bits2, rel_phase)
     if var > 0.0:
-        c00, c10, c11 = (math.sqrt(var) * x for x in spec._tables.chol)
+        sigma = math.sqrt(var)
+        c00, c10, c11 = (sigma * x for x in spec._tables.chol)
         w = rng.standard_normal((n_packets, L, 4)).view(complex)
         c[..., 0] += c00 * w[..., 0]
         c[..., 1] += c10 * w[..., 0] + c11 * w[..., 1]
+        # scale sigma > 1 down to about 1 by a power of two, which is exact, so
+        # no energy overflows and no decision moves; scaling a tiny sigma up
+        # would overflow a strong signal instead
+        exponent = math.frexp(sigma)[1]
+        if exponent > 0:
+            c *= 2.0 ** -exponent
 
     energy = np.square(c.real) + np.square(c.imag)
     decisions = energy[..., 1] > energy[..., 0]
@@ -249,48 +258,27 @@ def _run_point(spec: PhyExperimentSpec, ebn0_db: float) -> np.ndarray:
 def run_ber_point(spec: PhyExperimentSpec, ebn0_db: float) -> EstimateWithCI:
     """Bit error rate of one cell over all replica packets."""
     errors = _run_point(spec, ebn0_db)
-    return _estimate(int(errors.sum()), spec.replicas * spec.packet_bits)
+    return estimate(int(errors.sum()), spec.replicas * spec.packet_bits)
 
 
 def run_per_point(spec: PhyExperimentSpec, ebn0_db: float) -> EstimateWithCI:
     """Packet error rate of one cell."""
     errors = _run_point(spec, ebn0_db)
-    return _estimate(int(np.count_nonzero(errors)), spec.replicas)
+    return estimate(int(np.count_nonzero(errors)), spec.replicas)
 
 
-def calibrate_link_table(
-    spec: PhyExperimentSpec,
-    mode_name: str,
-    dp_axis: Sequence[float],
-    dt_axis: Sequence[float],
-    br_axis: Sequence[float],
-    ebn0_db: float = 12.0,
-) -> LinkTable:
-    """Fill a LinkTable with 1-PER estimates from the packet experiment.
+def count_grid(spec: PhyExperimentSpec, ebn0_db: float, dp_axis: Sequence[float],
+               dt_axis: Sequence[float], br_axis: Sequence[float]) -> np.ndarray:
+    """Failed packets, out of spec.replicas, in every cell of a power delta x
+    time delta x beat ratio grid; the axes are checked before any cell runs.
 
-    The axes must be non-empty, finite and strictly increasing, which is
-    checked before any cell runs. Each cell, for the same and for
-    different payloads, draws its own replica streams (see _chunk_rng).
+    Each cell draws its own replica streams (see _chunk_rng), so its count
+    does not depend on the rest of the grid.
     """
-    axes = [np.asarray(ax, dtype=float) for ax in (dp_axis, dt_axis, br_axis)]
-    check_axes(*axes)
-    tables = {}
-    for same in (True, False):
-        decoded = np.zeros(tuple(ax.size for ax in axes))
-        for idx in np.ndindex(decoded.shape):
-            dp, dt, br = (float(ax[i]) for ax, i in zip(axes, idx))
-            cell = replace(spec, power_delta=dp, time_delta=dt, beat_ratio=br, same_data=same)
-            errors = _run_point(cell, ebn0_db)
-            decoded[idx] = 1.0 - np.count_nonzero(errors) / cell.replicas
-        tables[(mode_name, same)] = decoded
-    return LinkTable(
-        *axes,
-        tables,
-        provenance={
-            "source": "monte-carlo-calibration",
-            "seed": str(spec.seed),
-            "replicas": str(spec.replicas),
-            "packet_bits": str(spec.packet_bits),
-            "ebn0_db": str(ebn0_db),
-        },
-    )
+    check_axes(dp_axis, dt_axis, br_axis)
+    failures = np.zeros((len(dp_axis), len(dt_axis), len(br_axis)), dtype=int)
+    for i, j, l in np.ndindex(failures.shape):
+        cell = replace(spec, power_delta=float(dp_axis[i]), time_delta=float(dt_axis[j]),
+                       beat_ratio=float(br_axis[l]))
+        failures[i, j, l] = np.count_nonzero(_run_point(cell, ebn0_db))
+    return failures

@@ -243,10 +243,23 @@ def test_bad_ebn0_simulates_no_packet(tmp_path, monkeypatch, command, ebn0_db):
     ["calibrate", "--ebn0-db=-3073"],
 ])
 def test_lowest_accepted_ebn0_runs(tmp_path, argv):
+    # pyproject.toml makes RuntimeWarning an error, so an overflowing energy fails here
     grid = [] if argv[0] == "ber" else ["--replicas", "100", "--delta-p", "0",
                                         "--delta-t", "0", "--beat-ratio", "1"]
-    with np.errstate(over="ignore"):  # branch energies this far below 0 dB overflow to inf
-        assert cli.main(argv + grid + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
+    assert cli.main(argv + grid + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
+    assert len(list(tmp_path.glob("*.csv"))) == 1
+    if argv[0] == "per":  # every packet fails: the estimate and its interval end are exact
+        _, rows = read_csv(tmp_path / "per.csv")
+        assert (rows[0]["failures"], rows[0]["per"], rows[0]["ci_high"]) == ("100", "1.0", "1.0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--start-db=3070", "--stop-db=3081", "--bits", "12800"],
+    ["per", "--ebn0-db=3060", "--delta-p", "0,20", "--replicas", "100"],
+])
+def test_highest_accepted_ebn0_runs(tmp_path, argv):
+    # a strong signal over a tiny noise sigma must not overflow either
+    assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
     assert len(list(tmp_path.glob("*.csv"))) == 1
 
 

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ctflood import cli
 from ctflood import montecarlo as mc
-from ctflood.linkmodel import dumps_table, loads_table
+from ctflood.linkmodel import dumps_table, load_table, loads_table
 from ctflood.models import ber_bfsk, per_from_ber
 from ctflood.montecarlo import (
     CHUNK_PACKETS,
@@ -16,10 +17,10 @@ from ctflood.montecarlo import (
     PhyExperimentSpec,
     _chunk_rng,
     _correlate,
-    _estimate,
     _run_point,
     _simulate_chunk,
-    calibrate_link_table,
+    count_grid,
+    estimate,
     run_ber_point,
     run_per_point,
     wilson_ci,
@@ -49,6 +50,15 @@ def test_wilson_ci_trivials():
     assert hi == pytest.approx(0.596, abs=2e-3)
     with pytest.raises(ValueError):
         wilson_ci(5, 4)
+    # the ends are exact, not rounded just inside, and the point is k/n
+    for n in range(100, 20001):
+        none, every = estimate(0, n), estimate(n, n)
+        assert (none.point, none.ci_low) == (0.0, 0.0)
+        assert (every.point, every.ci_high) == (1.0, 1.0)
+    for n in range(100, 400):
+        for k in range(n + 1):
+            lo, hi = wilson_ci(k, n, mc.CONFIDENCE)
+            assert lo <= k / n <= hi
 
 
 @pytest.mark.parametrize("k,n,conf", [(3, 10, 0.95), (0, 7, 0.99), (120, 300, 0.9)])
@@ -135,30 +145,35 @@ def test_different_data_equivalence_beyond_one_symbol():
 
 def test_calibrate_clean_single_link():
     spec = PhyExperimentSpec(mod=MOD, packet_bits=64, replicas=200, seed=31)
-    table = calibrate_link_table(spec, "1M", [20.0], [0.0], [0.05], ebn0_db=20.0)
-    assert table.tables[("1M", True)][0, 0, 0] >= 0.99
+    failures = count_grid(spec, 20.0, [20.0], [0.0], [0.05])
+    assert failures.shape == (1, 1, 1) and failures.dtype.kind == "i"
+    assert 1.0 - failures[0, 0, 0] / spec.replicas >= 0.99
 
 
-def test_calibrate_deterministic_and_roundtrips():
+def test_calibrate_deterministic_and_roundtrips(tmp_path):
     spec = PhyExperimentSpec(mod=MOD, packet_bits=64, replicas=150, seed=37)
-    t1 = calibrate_link_table(spec, "1M", [0.0, 4.0], [0.0], [0.2, 1.0])
-    t2 = calibrate_link_table(spec, "1M", [0.0, 4.0], [0.0], [0.2, 1.0])
-    for key in t1.tables:
-        np.testing.assert_array_equal(t1.tables[key], t2.tables[key])
-    assert t1.provenance["seed"] == "37"
-    back = loads_table(dumps_table(t1))
-    for key in t1.tables:
-        np.testing.assert_allclose(back.tables[key], t1.tables[key])
+    axes = ([0.0, 4.0], [0.0], [0.2, 1.0])
+    np.testing.assert_array_equal(count_grid(spec, 12.0, *axes), count_grid(spec, 12.0, *axes))
+    assert cli.main(["calibrate", "--out", str(tmp_path), "--seed", "37", "--replicas", "150",
+                     "--bits-per-packet", "64", "--delta-p", "0,4", "--delta-t", "0",
+                     "--beat-ratio", "0.2,1"]) == 0
+    table = load_table(tmp_path / "link_table.csv")
+    for same in (True, False):
+        failures = count_grid(replace(spec, same_data=same), 12.0, *axes)
+        np.testing.assert_array_equal(table.tables[("1M", same)], 1.0 - failures / 150)
+    assert table.provenance["seed"] == "37"
+    back = loads_table(dumps_table(table))
+    for key in table.tables:
+        np.testing.assert_array_equal(back.tables[key], table.tables[key])
     with pytest.raises(ValueError):
-        calibrate_link_table(spec, "1M", [], [0.0], [0.2])
+        count_grid(spec, 12.0, [], [0.0], [0.2])
 
 
 def test_calibrate_slow_vs_fast_ordering():
     # slow beating outperforms fast beating for the uncoded mode
     spec = PhyExperimentSpec(mod=MOD, packet_bits=128, replicas=1500, seed=41)
-    table = calibrate_link_table(spec, "1M", [0.0], [0.0], [0.1, 3.6])
-    grid = table.tables[("1M", True)]
-    assert grid[0, 0, 0] > grid[0, 0, 1]
+    failures = count_grid(spec, 12.0, [0.0], [0.0], [0.1, 3.6])
+    assert failures[0, 0, 0] < failures[0, 0, 1]
 
 
 def _key(spec, ebn0_db, chunk=0):
@@ -185,17 +200,18 @@ def test_stream_key_is_the_cell():
 def test_cell_counts_do_not_depend_on_the_grid():
     # a different-data calibration cell, alone and in two grids; on a grid
     # index it would move when --delta-p gains a value
-    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, beat_ratio=1.0, replicas=300, seed=43)
-    alone = _run_point(replace(spec, power_delta=4.0, same_data=False), 10.0)
-    table = calibrate_link_table(spec, "1M", [0.0, 4.0, 8.0], [0.0], [1.0], ebn0_db=10.0)
-    grown = calibrate_link_table(spec, "1M", [0.0, 2.0, 4.0, 8.0], [0.0], [1.0],
-                                 ebn0_db=10.0)
-    got = table.tables[("1M", False)][:, 0, 0]
-    np.testing.assert_array_equal(grown.tables[("1M", False)][[0, 2, 3], 0, 0], got)
-    np.testing.assert_array_equal(table.tables[("1M", True)][:, 0, 0],
-                                  grown.tables[("1M", True)][[0, 2, 3], 0, 0])
-    assert got[1] == 1.0 - np.count_nonzero(alone) / spec.replicas
-    assert 0.0 < got[1] < 1.0  # both outcomes occur, so another stream would show
+    spec = PhyExperimentSpec(mod=MOD, packet_bits=64, beat_ratio=1.0, same_data=False,
+                             replicas=300, seed=43)
+    alone = _run_point(replace(spec, power_delta=4.0), 10.0)
+    grids = {}
+    for same in (False, True):
+        cell = replace(spec, same_data=same)
+        grids[same] = count_grid(cell, 10.0, [0.0, 4.0, 8.0], [0.0], [1.0])
+        grown = count_grid(cell, 10.0, [0.0, 2.0, 4.0, 8.0], [0.0], [1.0])
+        np.testing.assert_array_equal(grown[[0, 2, 3]], grids[same])
+    k = grids[False][1, 0, 0]
+    assert k == np.count_nonzero(alone)
+    assert 0 < k < spec.replicas  # both outcomes occur, so another stream would show
 
 
 @pytest.mark.parametrize("axes", [
@@ -210,7 +226,7 @@ def test_calibrate_rejects_bad_axes_before_any_cell(monkeypatch, axes):
     monkeypatch.setattr(mc, "_run_point", lambda *a: calls.append(a))
     spec = PhyExperimentSpec(mod=MOD, replicas=100)
     with pytest.raises(ValueError):
-        calibrate_link_table(spec, "1M", *axes)
+        count_grid(spec, 12.0, *axes)
     assert calls == []
 
 
@@ -275,4 +291,4 @@ def test_kernel_ber_matches_waveform_path_at_non_unit_index():
     bits = np.random.default_rng(67).integers(0, 2, n_bits)
     stream = add_awgn(modulate(bits, mod, TransmitterSpec(phase=0.7)), 6.0, mod, seed=71)
     errors = count_bit_errors(bits, demodulate(stream, mod, n_bits))
-    assert kernel.overlaps(_estimate(errors, n_bits))
+    assert kernel.overlaps(estimate(errors, n_bits))
