@@ -15,6 +15,10 @@ kernel computes those directly instead of synthesizing the waveform of
   covariance the per-sample noise has after correlation: 2*sigma^2*K with
   K[a, b] = sum_s exp(j(w_b - w_a) s). This holds for any modulation
   index; at h = 1 the tones are orthogonal and K = sps * I.
+- A chunk draws its bits and phases whole, then runs in row blocks of about
+  BLOCK_WINDOWS symbol windows, so its memory is bounded per block. Blocks
+  draw their noise in row order, and a Generator gives the same normals into
+  one array or consecutive ones: the counts do not depend on the block size.
 
 `phy` and `rx` remain the sample-domain reference the kernel is tested
 against. A cell is a spec plus one Eb/N0 value. Its replica streams are
@@ -26,8 +30,10 @@ or in parallel, with identical pooled results.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
@@ -39,6 +45,7 @@ from .phy import ModulationParams, noise_variance_per_dim
 from .linkmodel import check_axes
 
 CHUNK_PACKETS = 2000
+BLOCK_WINDOWS = 16384  # symbol windows per row block of a chunk: its arrays stay cache-sized
 CONFIDENCE = 0.99  # of the Wilson intervals that estimate reports
 
 
@@ -75,6 +82,12 @@ class PhyExperimentSpec:
         if self.beat_ratio < 0 or self.time_delta < 0:
             raise ValueError("beat_ratio and time_delta must be non-negative")
         sps = self.mod.samples_per_symbol
+        # the largest branch energy, ((A1 + A2) * sps)^2, must be a finite float,
+        # with a factor 2 to spare for rounding and noise
+        limit = 10.0 * math.log10(sys.float_info.max / 2.0) - 20.0 * math.log10(sps)
+        if self.power_delta is not None and self.power_delta > limit:
+            raise ValueError(f"power_delta={self.power_delta} dB gives no finite branch energy; "
+                             f"accepted: 0 to about {limit:.0f} dB at {sps} samples per symbol")
         if round(self.time_delta * sps) > self.packet_bits * sps:
             raise ValueError("time_delta exceeds one packet duration")
 
@@ -204,7 +217,7 @@ def _correlate(
 def _simulate_chunk(
     spec: PhyExperimentSpec, ebn0_db: float, n_packets: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Bit-error count per packet for one chunk of replicas."""
+    """Bit-error count per packet for one chunk of replicas, in row blocks."""
     var = noise_variance_per_dim(ebn0_db, spec.mod, ref_amplitude=1.0)
     L = spec.packet_bits
     bits1 = rng.integers(0, 2, size=(n_packets, L), dtype=np.int8)
@@ -213,23 +226,27 @@ def _simulate_chunk(
     if spec.power_delta is not None:
         bits2 = bits1 if spec.same_data else rng.integers(0, 2, size=(n_packets, L), dtype=np.int8)
         rel_phase = np.exp(1j * (rng.uniform(0.0, 2 * np.pi, n_packets) - phase1))
-    c = _correlate(spec._tables, bits1, bits2, rel_phase)
-    if var > 0.0:
-        sigma = math.sqrt(var)
-        c00, c10, c11 = (sigma * x for x in spec._tables.chol)
-        w = rng.standard_normal((n_packets, L, 4)).view(complex)
-        c[..., 0] += c00 * w[..., 0]
-        c[..., 1] += c10 * w[..., 0] + c11 * w[..., 1]
-        # scale sigma > 1 down to about 1 by a power of two, which is exact, so
-        # no energy overflows and no decision moves; scaling a tiny sigma up
-        # would overflow a strong signal instead
-        exponent = math.frexp(sigma)[1]
-        if exponent > 0:
-            c *= 2.0 ** -exponent
-
-    energy = np.square(c.real) + np.square(c.imag)
-    decisions = energy[..., 1] > energy[..., 0]
-    return np.count_nonzero(decisions != bits1, axis=1)
+    sigma = math.sqrt(var)
+    c00, c10, c11 = (sigma * x for x in spec._tables.chol)
+    # scale sigma > 1 down to about 1 by a power of two, which is exact, so
+    # no energy overflows and no decision moves; scaling a tiny sigma up
+    # would overflow a strong signal instead
+    exponent = math.frexp(sigma)[1]
+    errors = np.empty(n_packets, dtype=np.intp)
+    step = max(1, BLOCK_WINDOWS // L)
+    for lo in range(0, n_packets, step):
+        rows = slice(lo, lo + step)
+        c = _correlate(spec._tables, bits1[rows], None if bits2 is None else bits2[rows],
+                       None if rel_phase is None else rel_phase[rows])
+        if var > 0.0:  # a block's normals continue where the previous block's stopped
+            w = rng.standard_normal((len(c), L, 4)).view(complex)
+            c[..., 0] += c00 * w[..., 0]
+            c[..., 1] += c10 * w[..., 0] + c11 * w[..., 1]
+            if exponent > 0:
+                c *= 2.0 ** -exponent
+        energy = np.square(c.real) + np.square(c.imag)
+        errors[rows] = np.count_nonzero((energy[..., 1] > energy[..., 0]) != bits1[rows], axis=1)
+    return errors
 
 
 def _key_word(x: Optional[float]) -> int:
@@ -270,15 +287,14 @@ def run_per_point(spec: PhyExperimentSpec, ebn0_db: float) -> EstimateWithCI:
 def count_grid(spec: PhyExperimentSpec, ebn0_db: float, dp_axis: Sequence[float],
                dt_axis: Sequence[float], br_axis: Sequence[float]) -> np.ndarray:
     """Failed packets, out of spec.replicas, in every cell of a power delta x
-    time delta x beat ratio grid; the axes are checked before any cell runs.
+    time delta x beat ratio grid; the axes and every cell's spec are checked
+    before any cell runs.
 
     Each cell draws its own replica streams (see _chunk_rng), so its count
     does not depend on the rest of the grid.
     """
     check_axes(dp_axis, dt_axis, br_axis)
-    failures = np.zeros((len(dp_axis), len(dt_axis), len(br_axis)), dtype=int)
-    for i, j, l in np.ndindex(failures.shape):
-        cell = replace(spec, power_delta=float(dp_axis[i]), time_delta=float(dt_axis[j]),
-                       beat_ratio=float(br_axis[l]))
-        failures[i, j, l] = np.count_nonzero(_run_point(cell, ebn0_db))
-    return failures
+    cells = [replace(spec, power_delta=float(dp), time_delta=float(dt), beat_ratio=float(br))
+             for dp, dt, br in itertools.product(dp_axis, dt_axis, br_axis)]
+    failures = [np.count_nonzero(_run_point(cell, ebn0_db)) for cell in cells]
+    return np.array(failures, dtype=int).reshape(len(dp_axis), len(dt_axis), len(br_axis))

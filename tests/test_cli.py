@@ -219,6 +219,8 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["ber", "--start-db=-3100", "--stop-db=-3100"],
     ["per", "--ebn0-db=-3200"],
     ["calibrate", "--ebn0-db=-3100"],
+    ["per", "--delta-p", "7000"],
+    ["calibrate", "--delta-p", "0,6000"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
@@ -260,6 +262,21 @@ def test_lowest_accepted_ebn0_runs(tmp_path, argv):
 def test_highest_accepted_ebn0_runs(tmp_path, argv):
     # a strong signal over a tiny noise sigma must not overflow either
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
+    assert len(list(tmp_path.glob("*.csv"))) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["per", "--ebn0-db=3060"],
+    ["per", "--ebn0-db=6"],
+    ["per", "--ebn0-db=-3073"],
+    ["calibrate", "--ebn0-db=12"],
+])
+def test_highest_accepted_power_delta_runs(tmp_path, argv):
+    # 3055 dB is the most a spec accepts at 16 samples per symbol; with a tiny,
+    # a moderate or a huge noise sigma no branch energy may overflow
+    grid = ["--delta-p", "0,3055", "--delta-t", "0,0.5,1.25", "--beat-ratio", "1",
+            "--replicas", "100"]
+    assert cli.main(argv + grid + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_OK
     assert len(list(tmp_path.glob("*.csv"))) == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,9 +86,15 @@ def test_spec_validation():
         PhyExperimentSpec(mod=MOD, packet_bits=0)
     for bad in (dict(power_delta=math.nan), dict(power_delta=math.inf),
                 dict(time_delta=math.nan), dict(beat_ratio=math.nan),
-                dict(beat_ratio=math.inf), dict(packet_bits=8, time_delta=8.5)):
+                dict(beat_ratio=math.inf), dict(packet_bits=8, time_delta=8.5),
+                dict(power_delta=3056.0), dict(power_delta=7000.0)):
         with pytest.raises(ValueError):
             PhyExperimentSpec(mod=MOD, **bad)
+    # the branch energy bound scales with the window length: 20*log10(16) dB below
+    # about 3079.5 dB at 16 samples per symbol, 20*log10(8) dB below it at 8
+    PhyExperimentSpec(mod=MOD, power_delta=3055.0)
+    PhyExperimentSpec(mod=ModulationParams(symbol_period=1e-6, samples_per_symbol=8),
+                      power_delta=3061.0)
     # a delay of exactly one packet is legal: transmitter 2 misses every window
     PhyExperimentSpec(mod=MOD, packet_bits=8, time_delta=8.0)
 
@@ -108,6 +115,38 @@ def test_determinism_and_parallel_split():
         chunks.append((idx, _simulate_chunk(spec, 8.0, sizes[idx], rng)))
     merged = np.concatenate([c for _, c in sorted(chunks)])
     np.testing.assert_array_equal(a, merged)
+
+
+@pytest.mark.parametrize("ebn0_db", [math.inf, 12.0, 0.0])  # 0 dB: sigma >= 1 is scaled
+def test_block_size_cannot_move_a_count(monkeypatch, ebn0_db):
+    specs = [PhyExperimentSpec(mod=MOD, power_delta=None),
+             PhyExperimentSpec(mod=MOD, power_delta=0.0, time_delta=0.3),
+             PhyExperimentSpec(mod=MOD, power_delta=3.0, time_delta=2.6, same_data=False),
+             PhyExperimentSpec(mod=MOD, power_delta=1.0, time_delta=1.5, beat_ratio=1.0)]
+    for spec in specs:
+        L = spec.packet_bits
+        for n in (100, 500, 2000):
+            got = []
+            for rows in (1, 7, n):  # no chunk size here is a multiple of 7
+                monkeypatch.setattr(mc, "BLOCK_WINDOWS", rows * L)
+                got.append(_simulate_chunk(spec, ebn0_db, n, np.random.default_rng(n)))
+            for errors in got[1:]:
+                np.testing.assert_array_equal(errors, got[0])
+            if ebn0_db == 0.0:
+                assert got[0].any()  # the noise reaches the counts
+
+
+def test_chunk_memory_is_bounded_by_the_block():
+    # one 2000 x 128 CT chunk built whole takes about 24 MB; in row blocks, about 3 MB
+    spec = PhyExperimentSpec(mod=MOD, power_delta=0.0, time_delta=0.3, same_data=False)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        _simulate_chunk(spec, 4.0, CHUNK_PACKETS, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_single_tx_per_matches_independent_bits():
@@ -220,6 +259,8 @@ def test_cell_counts_do_not_depend_on_the_grid():
     ([0.0], [0.0], [0.1, math.inf]),
     ([math.nan], [0.0], [1.0]),
     ([0.0, 0.0], [0.0], [1.0]),
+    ([0.0, 6000.0], [0.0], [1.0]),  # finite, but no cell can take it
+    ([0.0], [0.0, 200.0], [1.0]),
 ])
 def test_calibrate_rejects_bad_axes_before_any_cell(monkeypatch, axes):
     calls = []
