@@ -28,36 +28,43 @@ from .airtime import DEFAULT_GUARD, MODES, PhyMode, air_time, slot_length
 from .linkmodel import LinkTable, reception_probability
 from .models import jitter_sigma
 
-NEG_INF = float("-inf")
 F_CLOCK = 16e6  # Hz, slot timer clock of every node
 JITTER_STD = jitter_sigma(F_CLOCK)  # seconds, per-hop timing jitter of every node
 
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Directed link gains in dB (-inf = no link) plus per-node carrier offsets.
+    """Directed links as edge arrays sorted by (src, dst), plus per-node CFOs.
 
-    gains and cfo are read-only copies of the arrays given, so the link
-    lists derived from them below never go stale. A topology, like the
-    SimConfig that holds it, is equal only to itself and hashes by identity.
-    """
+    Link k runs src[k] -> dst[k] at gain[k] dB; a pair with no edge has no link.
+    The arrays are read-only copies, so the link lists derived below never go
+    stale. Like the SimConfig that holds it, a topology equals only itself."""
 
-    gains: np.ndarray  # (n, n) dB
+    src: np.ndarray  # (E,) node ids
+    dst: np.ndarray  # (E,) node ids
+    gain: np.ndarray  # (E,) dB, finite
     cfo: np.ndarray  # (n,) Hz
     initiator: int = 0
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=float)
-        cfo = np.array(self.cfo, dtype=float)
-        if cfo.ndim != 1 or gains.shape != (len(cfo),) * 2:
-            raise ValueError("topology arrays do not match node count")
+        src, dst = np.array(self.src), np.array(self.dst)  # an id past int64 reads as unknown
+        gain, cfo = np.array(self.gain, dtype=float), np.array(self.cfo, dtype=float)
+        if cfo.ndim != 1 or not src.shape == dst.shape == gain.shape == (src.size,):
+            raise ValueError("topology arrays do not match")
         if not 0 <= self.initiator < len(cfo):
             raise ValueError("initiator out of range")
-        if np.any(np.isnan(gains) | np.isposinf(gains)):
-            raise ValueError("gains must be finite or -inf")
-        if not np.all(np.isfinite(cfo)):
-            raise ValueError("cfo must be finite")
-        for name, arr in (("gains", gains), ("cfo", cfo)):
+        if not (np.all(np.isfinite(cfo)) and np.all(np.isfinite(gain))):
+            raise ValueError("cfo and edge gains must be finite; a pair with no link has no edge")
+        known = [(ids >= 0) & (ids < len(cfo)) & (ids % 1 == 0) for ids in (src, dst)]
+        unknown = np.flatnonzero(~(known[0] & known[1]))
+        if unknown.size:
+            raise ValueError(f"edge {src[unknown[0]]}->{dst[unknown[0]]} names an unknown node")
+        order = np.lexsort((dst, src))
+        src, dst, gain = src[order].astype(int), dst[order].astype(int), gain[order]
+        twice = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+        if twice.size:
+            raise ValueError(f"edge {src[twice[0]]}->{dst[twice[0]]} is listed twice")
+        for name, arr in (("src", src), ("dst", dst), ("gain", gain), ("cfo", cfo)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -68,16 +75,24 @@ class Topology:
     @cached_property
     def out_links(self) -> List[List[int]]:
         """out_links[t]: every node that t reaches, ascending."""
-        return [np.flatnonzero(row > NEG_INF).tolist() for row in self.gains]
+        cuts = np.searchsorted(self.src, np.arange(1, self.n_nodes))
+        return [part.tolist() for part in np.split(self.dst, cuts)]
 
     @cached_property
     def in_gains(self) -> List[Dict[int, float]]:
         """in_gains[v][t]: gain in dB of the link t->v, for every t that reaches v."""
         linked = [{} for _ in range(self.n_nodes)]
-        for t, listeners in enumerate(self.out_links):
-            for v, g in zip(listeners, self.gains[t, listeners].tolist()):
-                linked[v][t] = g
+        for t, v, g in zip(self.src.tolist(), self.dst.tolist(), self.gain.tolist()):
+            linked[v][t] = g
         return linked
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """Dense (n, n) gains in dB, -inf for no link; read-only, built on first read."""
+        gains = np.full((self.n_nodes,) * 2, -np.inf)
+        gains[self.src, self.dst] = self.gain
+        gains.flags.writeable = False
+        return gains
 
     @classmethod
     def build(
@@ -88,30 +103,26 @@ class Topology:
         initiator: int = 0,
         symmetric: bool = True,
     ) -> "Topology":
-        """Assemble a topology from an edge list and per-node CFOs (Hz)."""
-        gains = np.full((n_nodes, n_nodes), NEG_INF)
-        for src, dst, g in edges:
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise ValueError(f"edge {src}->{dst} names an unknown node")
-            gains[src, dst] = g
-            if symmetric:
-                gains[dst, src] = g
-        return cls(gains, cfo, initiator)
+        """Assemble a topology from (src, dst, gain_db) triples and per-node CFOs
+        (Hz). symmetric=True also links dst->src; of two equal pairs the later wins."""
+        if len(cfo) != n_nodes:
+            raise ValueError("topology arrays do not match node count")
+        if symmetric:
+            links = {(s, d): g for a, b, g in edges for s, d in ((a, b), (b, a))}
+            edges = [(s, d, g) for (s, d), g in links.items()]
+        src, dst, gain = list(zip(*edges)) or ((), (), ())
+        return cls(src, dst, gain, cfo, initiator)
 
     def hop_distances(self) -> np.ndarray:
-        """Unweighted shortest-path distance from the initiator (BFS over the
-        out-links), -1 for a node it does not reach."""
+        """BFS hop distance from the initiator over the out-links, -1 where it does not reach."""
         dist = [-1] * self.n_nodes
         dist[self.initiator] = 0
-        frontier = [self.initiator]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.out_links[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
+        queue = [self.initiator]
+        for u in queue:
+            for v in self.out_links[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
         return np.array(dist)
 
 
@@ -299,8 +310,8 @@ def duty_cycle_est(
 def load_topology(edge_path, node_path) -> Topology:
     """Edge list CSV `src,dst,gain_db` plus node CSV `id,cfo_hz,is_initiator`.
 
-    gain_db is the received power at the reference transmit power; edges
-    must name existing node ids, each (src, dst) pair at most once, and
+    gain_db is the received power at the reference transmit power, finite;
+    edges must name existing node ids, each (src, dst) pair at most once, and
     is_initiator is 0 or 1.
     """
     nodes = []
@@ -319,13 +330,8 @@ def load_topology(edge_path, node_path) -> Topology:
     initiators = [i for i, _, is_init in nodes if is_init]
     if len(initiators) != 1:
         raise ValueError("exactly one initiator required")
-    edges, links = [], set()
     with open(edge_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            link = int(row["src"]), int(row["dst"])
-            if link in links:
-                raise ValueError(f"edge {link[0]}->{link[1]} is listed twice")
-            links.add(link)
-            edges.append((*link, float(row["gain_db"])))
+        edges = [(int(row["src"]), int(row["dst"]), float(row["gain_db"]))
+                 for row in csv.DictReader(fh)]
     return Topology.build(edges, len(ids), cfo=[c for _, c, _ in nodes],
                           initiator=initiators[0], symmetric=False)

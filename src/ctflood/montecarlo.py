@@ -41,12 +41,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .airtime import MODES, symbols_on_air
 from .phy import ModulationParams, noise_variance_per_dim
 from .linkmodel import check_axes
 
 CHUNK_PACKETS = 2000
 BLOCK_WINDOWS = 16384  # symbol windows per row block of a chunk: its arrays stay cache-sized
 CONFIDENCE = 0.99  # of the Wilson intervals that estimate reports
+MAX_PACKET_BITS = symbols_on_air(MODES["2M"], 255)  # the longest uncoded on-air packet
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ class PhyExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be positive")
+        if not 1 <= self.packet_bits <= MAX_PACKET_BITS:
+            raise ValueError(f"packet_bits must be in [1, {MAX_PACKET_BITS}]")
         if self.replicas < 100:
             raise ValueError("need at least 100 replicas per estimate")
         if self.power_delta is not None and self.power_delta < 0:

@@ -221,6 +221,7 @@ def test_calibrate_cell_equals_per_cell(tmp_path):
     ["calibrate", "--ebn0-db=-3100"],
     ["per", "--delta-p", "7000"],
     ["calibrate", "--delta-p", "0,6000"],
+    ["per", "--bits-per-packet", "2113"],
 ])
 def test_bad_monte_carlo_input_exit_code(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(tmp_path), "--seed", "1"]) == cli.EXIT_INPUT
@@ -253,6 +254,15 @@ def test_lowest_accepted_ebn0_runs(tmp_path, argv):
     if argv[0] == "per":  # every packet fails: the estimate and its interval end are exact
         _, rows = read_csv(tmp_path / "per.csv")
         assert (rows[0]["failures"], rows[0]["per"], rows[0]["ci_high"]) == ("100", "1.0", "1.0")
+
+
+def test_longest_packet_runs(tmp_path):
+    # a 255-byte PDU sent uncoded is the longest packet a cell accepts
+    assert cli.main(["per", "--bits-per-packet", "2112", "--replicas", "100", "--delta-p", "0",
+                     "--delta-t", "1.5", "--beat-ratio", "1", "--out", str(tmp_path),
+                     "--seed", "1"]) == cli.EXIT_OK
+    _, rows = read_csv(tmp_path / "per.csv")
+    assert len(rows) == 1 and rows[0]["trials"] == "100"
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +313,12 @@ def test_highest_accepted_power_delta_runs(tmp_path, argv):
                  id="node-ids-gap"),
     pytest.param(None, None, "2M,1,0.0,0.0,1.0,1.0\n2M,1,0.0,0.0,2.0,1.0\n"
                  "2M,1,1.0,0.0,1.0,1.0\n", [], id="link-table-incomplete-grid"),
+    pytest.param("src,dst,gain_db\n0,1,-60\n1,0,-inf\n", None, None, [], id="minus-inf-gain"),
+    pytest.param("src,dst,gain_db\n0,1,inf\n1,0,-60\n", None, None, [], id="inf-gain"),
+    pytest.param("src,dst,gain_db\n0,1,-60\n1,0,-60\n1,2,NaN\n", None, None, [],
+                 id="nan-gain-last-row"),
+    pytest.param("src,dst,gain_db\n0,1,-60\n1,99999999999999999999,-60\n", None, None, [],
+                 id="node-id-past-int64"),
 ])
 def test_bad_flood_input_exit_code(tmp_path, edges_text, nodes_text, table_text, flags):
     edges, nodes = write_topology(tmp_path)

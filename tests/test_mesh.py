@@ -1,14 +1,18 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from ctflood import mesh
 from ctflood import node as nd
-from ctflood.linkmodel import LinkTable, paper_default_table, reception_probability
+from ctflood.airtime import get_mode
+from ctflood.linkmodel import (LinkTable, _interp_weights, paper_default_table,
+                                reception_probability)
 from ctflood.node import NodePolicy
 
 
@@ -22,41 +26,63 @@ def chain_topology(n, gain=-60.0, cfo_step=2e3):
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        mesh.Topology(np.zeros((3, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        mesh.Topology(np.zeros((2, 2)), np.zeros(2), initiator=5)
+    with pytest.raises(ValueError, match="do not match"):
+        mesh.Topology([0, 1], [1], [-60.0, -60.0], np.zeros(2))
+    with pytest.raises(ValueError, match="initiator"):
+        mesh.Topology([], [], [], np.zeros(2), initiator=5)
+    # every link rule lives in the constructor: unknown ids, non-finite gains
+    # (no link is a missing pair) and a repeated pair are rejected
+    for src, dst, gain, match in [
+        ([0, 2], [1, 0], [-60.0, -60.0], "2->0 names an unknown"),
+        ([0], [-1], [-60.0], "unknown node"),
+        ([0.5, 1], [1, 0], [-60.0, -60.0], "0.5->1 names an unknown"),
+        ([0], [np.nan], [-60.0], "unknown node"),
+        ([0, 1], [1, 0], [-60.0, -np.inf], "finite"),
+        ([0], [1], [np.nan], "finite"),
+        ([1, 0, 1], [0, 1, 0], [-60.0, -60.0, -70.0], "1->0 is listed twice"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            mesh.Topology(src, dst, gain, np.zeros(2))
+    with pytest.raises(ValueError, match="listed twice"):
+        mesh.Topology.build([(0, 1, -60.0), (0, 1, -70.0)], 2, cfo=[0.0, 0.0], symmetric=False)
+    with pytest.raises(ValueError, match="node count"):
+        mesh.Topology.build([(0, 1, -60.0)], 3, cfo=[0.0, 0.0])
     topo = chain_topology(4)
     assert topo.n_nodes == 4
     assert list(topo.hop_distances()) == [0, 1, 2, 3]
     # distances follow link direction; an unreachable node reads -1
-    one_way = mesh.Topology.build([(1, 0, -60.0), (1, 2, -60.0)], 4, cfo=[0.0] * 4,
+    one_way = mesh.Topology.build([(1, 2, -60.0), (1, 0, -60.0)], 4, cfo=[0.0] * 4,
                                   initiator=1, symmetric=False)
     assert list(one_way.hop_distances()) == [1, 0, 1, -1]
     assert one_way.out_links == [[], [0, 2], [], []]
     assert one_way.in_gains == [{1: -60.0}, {}, {1: -60.0}, {}]
+    # the edge arrays are sorted by (src, dst) whatever order they came in
+    assert (one_way.src.tolist(), one_way.dst.tolist()) == ([1, 1], [0, 2])
+    # symmetric=True links both ways, and the later of two equal pairs wins
+    sym = mesh.Topology.build([(0, 1, -60.0), (2, 1, -65.0), (1, 0, -70.0)], 3, cfo=[0.0] * 3)
+    assert sym.in_gains == [{1: -70.0}, {0: -70.0, 2: -65.0}, {1: -65.0}]
+    assert sym.gains[0, 1] == sym.gains[1, 0] == -70.0 and sym.gains[0, 2] == -np.inf
 
 
 def test_topology_and_config_are_immutable():
-    gains = np.full((2, 2), -np.inf)
-    gains[0, 1] = gains[1, 0] = -60.0
-    topo = mesh.Topology(gains, [0.0, 1e3])
+    src, gain = np.array([0, 1]), np.array([-60.0, -60.0])
+    topo = mesh.Topology(src, [1, 0], gain, [0.0, 1e3])
     # a write after validation would bypass it (NaN) and stale the link lists
-    with pytest.raises(ValueError):
-        topo.gains[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        topo.cfo[0] = 5.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        topo.gains = np.zeros((2, 2))
-    # the caller's array is copied, not made read-only
-    gains[0, 1] = -90.0
-    assert topo.gains[0, 1] == -60.0 and topo.in_gains[1] == {0: -60.0}
+    for arr in (topo.src, topo.dst, topo.gain, topo.cfo, topo.gains):
+        with pytest.raises(ValueError):
+            arr[0] = np.nan if arr.dtype == float else 5
+    for name in ("gain", "gains"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(topo, name, np.zeros(2))
+    # the caller's arrays are copied, not made read-only
+    src[0], gain[0] = 1, -90.0
+    assert topo.gain[0] == -60.0 and topo.in_gains[1] == {0: -60.0}
     cfg = mesh.SimConfig(topology=topo, policy=NodePolicy(), table=bernoulli_table(1.0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.rounds = 5
     assert cfg.mode.name == "2M"
     # equality and hashing are by identity: no element-wise array comparison
-    assert topo == topo and topo != mesh.Topology(topo.gains, topo.cfo)
+    assert topo == topo and topo != mesh.Topology(topo.src, topo.dst, topo.gain, topo.cfo)
     assert hash(topo) == hash(topo) and cfg in {cfg}
 
 
@@ -348,16 +374,113 @@ def _reference_run(cfg):
 def test_run_equals_the_listener_side_reference(n, parents, extra, gains, cfo, initiator,
                                                 channels, n_tx, diameter, threshold,
                                                 fading, p, seed):
-    # a random spanning tree, both directions, plus one-way extra links
-    tree = [(v, parents[v - 1] % v, gains[v - 1]) for v in range(1, n)]
-    g = mesh.Topology.build(tree, n, cfo=cfo[:n]).gains.copy()
+    # a random spanning tree, both directions, plus one-way extra links; an
+    # extra link that repeats a pair overrides its gain
+    links = {}
+    for v in range(1, n):
+        links[v, parents[v - 1] % v] = links[parents[v - 1] % v, v] = gains[v - 1]
     for (a, b), gain in zip(extra, gains[7:]):
         if a < n and b < n and a != b:
-            g[a, b] = gain
-    topo = mesh.Topology(g, cfo[:n], initiator=initiator % n)
+            links[a, b] = gain
+    topo = mesh.Topology([a for a, _ in links], [b for _, b in links], list(links.values()),
+                         cfo[:n], initiator=initiator % n)
     pol = NodePolicy(n_tx=n_tx, diameter=diameter, hop_sequence=tuple(channels),
                      resync_threshold=threshold)
     table = paper_default_table() if p is None else bernoulli_table(p)
     cfg = mesh.SimConfig(topology=topo, policy=pol, table=table, rounds=40,
                          seed=seed, fading_std=fading)
     assert mesh.run(cfg) == _reference_run(cfg)
+
+
+_STD_NORMAL = NormalDist()
+
+
+def _folded_hat_means(axis, mu, s):
+    """E[w_i(|Y|)] for Y ~ N(mu, s^2), s > 0, where w_i are the clamped hat
+    weights that reception_probability puts on the points of axis."""
+    def part(c, d):  # P(c <= Y <= d) and E[Y; c <= Y <= d]
+        a, b = (c - mu) / s, (d - mu) / s
+        p = _STD_NORMAL.cdf(b) - _STD_NORMAL.cdf(a)
+        return p, mu * p + s * (_STD_NORMAL.pdf(a) - _STD_NORMAL.pdf(b))
+
+    def folded(c, d):  # the same two moments of |Y|, for 0 <= c <= d
+        (p1, m1), (p2, m2) = part(c, d), part(-d, -c)
+        return p1 + p2, m1 - m2
+
+    w = np.zeros(len(axis))
+    w[0] += folded(0.0, axis[0])[0]
+    w[-1] += folded(axis[-1], math.inf)[0]
+    for i, (a, b) in enumerate(zip(axis[:-1], axis[1:])):
+        p, m = folded(a, b)
+        w[i] += (b * p - m) / (b - a)
+        w[i + 1] += (m - a * p) / (b - a)
+    return w
+
+
+def _capture_oracle(table, key, delta_g, fading_std, jitter_std_bits, beat_ratio):
+    """Exact E[p] of a two-arrival lookup: delta_p = |delta_g + sqrt(2)·σ·Z1|,
+    delta_t = jitter_std_bits·|Z2| and a fixed beat ratio. The lookup is
+    trilinear in independent coordinates, so the expectation factors."""
+    w_dp = _folded_hat_means(table.dp_axis, delta_g, math.sqrt(2) * fading_std)
+    w_dt = _folded_hat_means(table.dt_axis, 0.0, jitter_std_bits)
+    w_br = np.zeros(table.br_axis.size)
+    lo, hi, w = _interp_weights(table.br_axis, beat_ratio)
+    w_br[lo] += 1 - w
+    w_br[hi] += w
+    return float(np.einsum("i,j,k,ijk", w_dp, w_dt, w_br, table.tables[key]))
+
+
+def _capture_table(mode):
+    """A separable table, steep along every axis, so that a units slip on any
+    coordinate moves E[p] by several times the test's interval."""
+    f = np.array([0.1, 0.55, 0.9])  # over dp_axis; the lone cell is 0.9
+    h = np.array([1.0, 0.6, 0.15])  # over dt_axis
+    q = np.array([1.0, 0.75, 0.2])  # over br_axis
+    return LinkTable([0.0, 2.0, 5.0], [0.0, 0.02, 0.06], [0.0, 0.6, 1.6],
+                     {(mode, True): np.einsum("i,j,k->ijk", f, h, q)})
+
+
+def test_capture_path_matches_the_exact_oracle():
+    # Many "V"s in one flood: the initiator reaches two relays, and only those
+    # two reach a listener. A relay hears the lone initiator in slot 0 with
+    # the table's lone cell. In a round where both relays of a V did, their
+    # listener hears exactly those two, each at jitter depth 1, in slot 1,
+    # and decodes with the oracle's E[p]; every V and slot draws afresh, so
+    # the trials are independent. Going through mesh.run puts the jitter
+    # depth under test too, and at the coded 500K rate the bit period differs
+    # from the symbol period, so a delta_t in the wrong unit shows.
+    mode = get_mode("500K")
+    table, key = _capture_table(mode.name), (mode.name, True)
+    fading, rounds = 2.0, 200
+    v_types = [(0.0, 450.0), (2.0, 1000.0)]  # (gain difference dB, CFO difference Hz)
+    copies = 40
+    edges, cfo, triples = [], [0.0], []
+    for delta_g, delta_cfo in v_types:
+        for _ in range(copies):
+            a, b, c = len(cfo), len(cfo) + 1, len(cfo) + 2
+            edges += [(0, a, -60.0), (0, b, -60.0), (a, c, -60.0 + delta_g), (b, c, -60.0)]
+            cfo += [0.0, delta_cfo, 0.0]
+            triples.append((a, b, c))
+    topo = mesh.Topology.build(edges, len(cfo), cfo=cfo, symmetric=False)
+    pol = NodePolicy(n_tx=1, diameter=1, hop_sequence=(37,), resync_threshold=10 ** 9)
+    cfg = mesh.SimConfig(topology=topo, policy=pol, table=table, mode=mode,
+                         rounds=rounds, seed=7, fading_std=fading)
+    _, log = mesh.run(cfg)
+    first = np.array([[m.first_slot.get(v) or 0 for v in range(len(cfo))] for m in log])
+
+    def inside(hits, trials, p):  # exact (Clopper-Pearson) 99.9% interval
+        ci = binomtest(hits, trials).proportion_ci(0.999)
+        return ci.low <= p <= ci.high
+
+    relays = np.array([(a, b) for a, b, _ in triples]).ravel()
+    lone = table.tables[key][-1, 0, 0]
+    assert inside(int((first[:, relays] == 1).sum()), relays.size * rounds, lone)
+    jitter_bits = mesh.JITTER_STD * math.sqrt(1 + 1) / mode.bit_period
+    for t, (delta_g, delta_cfo) in enumerate(v_types):
+        part = triples[t * copies:(t + 1) * copies]
+        a, b, c = (np.array(col) for col in zip(*part))
+        both = (first[:, a] == 1) & (first[:, b] == 1)
+        hits = int(((first[:, c] == 2) & both).sum())
+        want = _capture_oracle(table, key, delta_g, fading, jitter_bits,
+                               cfg.air_time * delta_cfo)
+        assert inside(hits, int(both.sum()), want)
